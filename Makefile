@@ -25,12 +25,13 @@ verify-purego:
 test:
 	go test ./...
 
-# Race-exercise the concurrent serving stack (scatter-gather and the RPC
-# client connection pool included) plus the full training stack: nn
+# Race-exercise the concurrent serving stack (scatter-gather, the RPC
+# client connection pool, the gateway's admission/drain path and the
+# group-commit WAL included) plus the full training stack: nn
 # optimizers, the parameter server, the experiments harness (incl. the
 # cross-topology equivalence suite), and the A/B replay.
 race:
-	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/nn/... ./internal/ps/... ./internal/experiments/... ./internal/abtest/...
+	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/gateway/... ./internal/ingest/... ./internal/nn/... ./internal/ps/... ./internal/experiments/... ./internal/abtest/...
 
 # Fault-injection suite under the race detector: server kill/restart and
 # churn, replica failover mid-batch, rolling upgrade, zero-replica

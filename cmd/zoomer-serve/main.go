@@ -39,16 +39,8 @@ import (
 	"strings"
 	"time"
 
-	"zoomer/internal/ann"
-	"zoomer/internal/core"
-	"zoomer/internal/engine"
-	"zoomer/internal/graph"
-	"zoomer/internal/graphbuild"
-	"zoomer/internal/loggen"
-	"zoomer/internal/partition"
-	"zoomer/internal/rpc"
 	"zoomer/internal/serve"
-	"zoomer/internal/tensor"
+	"zoomer/internal/servestack"
 )
 
 func main() {
@@ -67,21 +59,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	flag.Parse()
 
-	strat, err := partition.ParseStrategy(*strategy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	scales := map[string]loggen.Scale{
-		"tiny": loggen.ScaleTiny, "small": loggen.ScaleSmall,
-		"medium": loggen.ScaleMedium, "large": loggen.ScaleLarge,
-	}
-	sc, ok := scales[*scale]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
 	var qps []float64
 	for _, s := range strings.Split(*qpsList, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
@@ -96,71 +73,27 @@ func main() {
 		qps = append(qps, v)
 	}
 
-	fmt.Println("building world and model...")
-	logs := loggen.MustGenerate(loggen.TaobaoConfig(sc, *seed))
-	res := graphbuild.Build(logs, graphbuild.DefaultConfig())
-	g := res.Graph
-	ds := loggen.BuildExamples(logs, 1, 0.2, *seed+1)
-	train := core.InstancesFromExamples(ds.Train, res.Mapping)
-	test := core.InstancesFromExamples(ds.Test, res.Mapping)
-
-	model := core.NewZoomer(g, logs.Vocab(), core.DefaultConfig(), *seed+2)
-	tc := core.DefaultTrainConfig()
-	tc.MaxSteps = *trainSteps
-	core.Train(model, train, test, tc)
-
-	fmt.Println("exporting serving weights and building index...")
-	emb := serve.NewEmbedder(model.ExportServing())
-	var eng *engine.Engine
+	var addrs []string
 	if *remote != "" {
-		addrs := strings.Split(*remote, ",")
-		for i := range addrs {
-			addrs[i] = strings.TrimSpace(addrs[i])
-		}
-		cluster, err := rpc.DialClusterWith(rpc.ClientConfig{Conns: *rpcConns, Window: *rpcWindow}, addrs...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer cluster.Close()
-		if cluster.Info.NumNodes != g.NumNodes() {
-			fmt.Fprintf(os.Stderr, "remote cluster serves %d nodes, local world has %d — start zoomer-shard with the same -scale/-seed\n",
-				cluster.Info.NumNodes, g.NumNodes())
-			os.Exit(1)
-		}
-		eng = cluster.Engine
-		fmt.Printf("engine: %d remote shards (%s partitioning, routing epoch %d) behind %d servers\n",
-			eng.NumShards(), cluster.Info.Strategy, eng.Routing().Epoch(), len(addrs))
-	} else {
-		eng = engine.New(g, engine.Config{Shards: *shards, Replicas: *replicas, Strategy: strat, Locality: true})
+		addrs = strings.Split(*remote, ",")
 	}
+	stack, err := servestack.Build(servestack.Config{
+		Scale: *scale, Seed: *seed, TrainSteps: *trainSteps,
+		Shards: *shards, Replicas: *replicas, Strategy: *strategy,
+		Remote: addrs, RPCConns: *rpcConns, RPCWindow: *rpcWindow,
+		Serve: serve.Config{Workers: *workers, CacheK: *cacheK},
+	}, func(format string, args ...any) { fmt.Printf(format+"\n", args...) })
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer stack.Close()
+	eng, srv, cache := stack.Engine, stack.Server, stack.Cache
+	users, queries := stack.Users, stack.Queries
+
 	st := eng.Stats()
 	fmt.Printf("engine: %d shards x %d replicas, nodes/shard %v, edges/shard %v\n",
 		st.Shards, st.Replicas, st.NodesPerShard, st.EdgesPerShard)
-	cache := serve.NewNeighborCache(eng, *cacheK, *seed+3)
-	defer cache.Close()
-
-	items := g.NodesOfType(graph.Item)
-	ids := make([]int64, len(items))
-	vecs := make([]tensor.Vec, len(items))
-	for i, it := range items {
-		ids[i] = int64(it)
-		vecs[i] = emb.Item(it)
-	}
-	nlist := len(items) / 64
-	if nlist < 4 {
-		nlist = 4
-	}
-	index := ann.Build(ids, vecs, ann.Config{NumLists: nlist, Iters: 6, Seed: *seed + 4})
-
-	scfg := serve.DefaultConfig()
-	scfg.Workers = *workers
-	scfg.CacheK = *cacheK
-	srv := serve.NewServer(emb, cache, index, scfg)
-	defer srv.Close()
-
-	users := g.NodesOfType(graph.User)
-	queries := g.NodesOfType(graph.Query)
 	// Cache warm-up.
 	if _, err := serve.LoadTest(srv, users, queries, 500, 100*time.Millisecond, *seed+5); err != nil {
 		fmt.Fprintln(os.Stderr, err)

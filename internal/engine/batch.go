@@ -3,15 +3,14 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"zoomer/internal/graph"
 	"zoomer/internal/rng"
 )
 
 // BatchScratch holds the reusable buffers of the scatter-gather path: the
-// counting-sort grouping arrays, the derived per-entry RNG, the parallel
-// fan-out completion state, and the SampleTree frontier/output storage.
+// counting-sort grouping arrays, the per-shard visit slots of the
+// parallel path, and the SampleTree frontier/output storage.
 // Not safe for concurrent use — one per caller, like *rng.RNG. A nil
 // *BatchScratch is accepted everywhere and falls back to per-call
 // allocation.
@@ -20,13 +19,10 @@ type BatchScratch struct {
 	order  []int32
 	gids   []graph.NodeID // entry node ids reordered by owning shard
 
-	// Parallel fan-out state: one result slot, one in-flight handle slot
-	// and one picked-replica slot per shard, plus the caller's completion
-	// barrier for worker-dispatched visits — all reused across batches.
+	// Parallel path state: one result slot and one in-flight handle slot
+	// per shard, reused across batches.
 	visits  []visitRes
 	handles []BatchHandle
-	bes     []ShardBackend
-	wg      sync.WaitGroup
 
 	// SampleTree buffers: the flat tree, the current frontier and the
 	// batch-draw output it expands into.
@@ -47,23 +43,26 @@ func (bs *BatchScratch) orNew() *BatchScratch {
 	return bs
 }
 
-// visitBufs returns the per-shard result, handle and picked-replica
-// slots for one parallel batch.
-func (bs *BatchScratch) visitBufs(shards int) ([]visitRes, []BatchHandle, []ShardBackend) {
+// visitRes is one visit's outcome slot.
+type visitRes struct {
+	n   int
+	err error
+}
+
+// visitBufs returns the per-shard result and handle slots for one
+// parallel batch.
+func (bs *BatchScratch) visitBufs(shards int) ([]visitRes, []BatchHandle) {
 	if cap(bs.visits) < shards {
 		bs.visits = make([]visitRes, shards)
 		bs.handles = make([]BatchHandle, shards)
-		bs.bes = make([]ShardBackend, shards)
 	}
 	bs.visits = bs.visits[:shards]
 	bs.handles = bs.handles[:shards]
-	bs.bes = bs.bes[:shards]
 	for i := range bs.visits {
 		bs.visits[i] = visitRes{}
 		bs.handles[i] = nil
-		bs.bes[i] = nil
 	}
-	return bs.visits, bs.handles, bs.bes
+	return bs.visits, bs.handles
 }
 
 func (bs *BatchScratch) groupBufs(entries, shards int) (counts, order []int32, gids []graph.NodeID) {
@@ -100,11 +99,12 @@ func entrySeed(base uint64, i int) uint64 {
 // with a counting sort and each shard is visited exactly once — one
 // replica is picked and charged per shard per batch, and over a remote
 // backend each visit is exactly one RPC round trip. When more than one
-// of the visited shards is remote, the visits are dispatched to a
-// bounded fan-out worker pool and overlap on the wire (local groups run
-// inline on the caller meanwhile), so batch latency approaches the
-// slowest shard's round trip instead of their sum; a local-only engine
-// keeps the sequential inline path and its zero-allocation guarantee.
+// visited shard is served by a replica group or a remote stub, every such
+// visit is started before any is awaited, so the remote round trips
+// overlap on the wire (inline local groups run on the caller meanwhile)
+// and batch latency approaches the slowest shard's round trip instead of
+// their sum; a local-only engine keeps the sequential inline path and its
+// zero-allocation guarantee.
 // Either way the results are identical: every visit writes into disjoint
 // position-addressed regions of out/ns, and one value is consumed from r
 // as the batch base with every entry drawing from its own derived
@@ -176,10 +176,10 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 	}
 
 	// One visit per shard: counts[s] is now the end of shard s's group.
-	// Count the remote groups to decide between the inline path and the
-	// parallel fan-out.
+	// Count the groups without an inline local store to decide between
+	// the sequential path and the parallel one.
 	remoteGroups := 0
-	if set.hasRemote {
+	if !set.allLocal {
 		start := int32(0)
 		for si := range set.backends {
 			end := counts[si]
@@ -193,7 +193,7 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 	if remoteGroups <= 1 {
 		// Sequential inline visits: the local-only steady state (zero
 		// allocation, no cross-goroutine handoff) and the degenerate
-		// single-remote-group case, where fan-out buys nothing. Each visit
+		// single-remote-group case, where overlap buys nothing. Each visit
 		// fails over across its partition's replicas inside visitShard.
 		total := 0
 		failover := false
@@ -220,18 +220,15 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 		return total, nil
 	}
 
-	// Parallel fan-out: put every remote group in flight before waiting on
-	// any of them, so the round trips overlap. An async-capable backend
-	// (BatchStarter — the RPC stub) is started directly by this goroutine:
-	// the request frame goes out and control returns immediately, no
-	// handoff. Any other remote backend is dispatched to the bounded
-	// worker pool. Local groups run inline meanwhile, then everything is
-	// collected in shard order. Each visit writes only its own entries'
-	// disjoint regions of out/ns, so no synchronization beyond the
-	// barrier/awaits is needed and the merged result is bit-identical to
-	// the sequential path.
-	visits, handles, bes := bs.visitBufs(len(set.backends))
-	pooled := 0
+	// Parallel path: put every non-inline group in flight before waiting
+	// on any of them, so the round trips overlap. StartSampleBatch sends
+	// the request frame and returns immediately — no goroutine handoff —
+	// while inline local groups run on this goroutine meanwhile; then
+	// everything is collected in shard order. Each visit writes only its
+	// own entries' disjoint regions of out/ns, so no synchronization beyond
+	// the awaits is needed and the merged result is bit-identical to the
+	// sequential path.
+	visits, handles := bs.visitBufs(len(set.backends))
 	start := int32(0)
 	for si := range set.backends {
 		end := counts[si]
@@ -244,36 +241,9 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 			if len(g) > 1 {
 				be = g[set.pick(si, g)]
 			}
-			bes[si] = be
-			if starter, ok := be.(BatchStarter); ok {
-				handles[si] = starter.StartSampleBatch(gids[start:end], order[start:end], base, k, out, ns)
-			} else {
-				pooled++
-			}
+			handles[si] = be.StartSampleBatch(gids[start:end], order[start:end], base, k, out, ns)
 		}
 		start = end
-	}
-	if pooled > 0 {
-		e.startFanout()
-		bs.wg.Add(pooled)
-		start = 0
-		for si := range set.backends {
-			end := counts[si]
-			if end > start && set.locals[si] == nil && handles[si] == nil {
-				e.fanoutCh <- visitJob{
-					be:   bes[si],
-					gids: gids[start:end],
-					idx:  order[start:end],
-					base: base,
-					k:    k,
-					out:  out,
-					ns:   ns,
-					res:  &visits[si],
-					wg:   &bs.wg,
-				}
-			}
-			start = end
-		}
 	}
 	start = 0
 	for si := range set.backends {
@@ -289,7 +259,7 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 	// this caller holds — then any the backend had to defer for lack of
 	// a free slot (their awaits issue fresh blocking calls).
 	for si, h := range handles {
-		if h != nil && handleStarted(h) {
+		if h != nil && h.Started() {
 			visits[si].n, visits[si].err = h.AwaitBatch()
 			handles[si] = nil // awaited handles may be recycled; drop them
 		}
@@ -298,9 +268,6 @@ func (e *Engine) batchVisits(set *backendSet, ids []graph.NodeID, base uint64, k
 		if h != nil {
 			visits[si].n, visits[si].err = h.AwaitBatch()
 		}
-	}
-	if pooled > 0 {
-		bs.wg.Wait()
 	}
 
 	// Failover sweep: a visit that died with a transport failure is redone

@@ -13,18 +13,18 @@ import (
 	"zoomer/internal/rng"
 )
 
-// deadlineBackend wraps a shard store and records whether the
-// deadline-aware facet or the plain path was used.
+// deadlineBackend wraps a shard store and records the deadline each
+// single-sample call received.
 type deadlineBackend struct {
 	flakyBackend
 	byCalls atomic.Int64
-	lastDL  atomic.Int64 // unix nanos of the last deadline seen
+	lastDL  atomic.Pointer[time.Time] // the last deadline seen
 }
 
-func (db *deadlineBackend) SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
+func (db *deadlineBackend) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
 	db.byCalls.Add(1)
-	db.lastDL.Store(deadline.UnixNano())
-	return db.flakyBackend.SampleInto(id, out, r)
+	db.lastDL.Store(&deadline)
+	return db.flakyBackend.SampleInto(id, out, r, deadline)
 }
 
 func deadlineFixture(t *testing.T, shards int) (*Engine, [][]*deadlineBackend) {
@@ -68,39 +68,37 @@ func TestExpiredDeadlineFailsTypedWithoutWork(t *testing.T) {
 	}
 }
 
-// A live deadline routes through the DeadlineSampler facet (so a remote
-// stub can shrink its per-call wire budget), while the zero deadline
-// keeps the plain path.
+// The caller's deadline reaches the backend's SampleInto unchanged (so a
+// remote stub can shrink its per-call wire budget), and the unbounded
+// call hands it the zero deadline.
 func TestDeadlineRoutesThroughFacet(t *testing.T) {
 	e, backs := deadlineFixture(t, 2)
 	r := rng.New(9)
 	out := make([]graph.NodeID, 4)
-	dl := time.Now().Add(time.Minute)
-	if _, err := e.TrySampleNeighborsIntoBy(1, out, r, dl); err != nil {
-		t.Fatalf("bounded sample: %v", err)
-	}
-	var by, plain int64
-	for _, g := range backs {
-		for _, b := range g {
-			by += b.byCalls.Load()
-			plain += b.calls.Load()
+	owner := backs[e.ShardOf(1)][0]
+	for _, dl := range []time.Time{time.Now().Add(time.Minute), {}} {
+		before := owner.byCalls.Load()
+		if _, err := e.TrySampleNeighborsIntoBy(1, out, r, dl); err != nil {
+			t.Fatalf("sample with deadline %v: %v", dl, err)
+		}
+		if n := owner.byCalls.Load() - before; n != 1 {
+			t.Fatalf("deadline %v: owning backend saw %d calls, want 1", dl, n)
+		}
+		if got := *owner.lastDL.Load(); !got.Equal(dl) {
+			t.Fatalf("backend received deadline %v, want %v", got, dl)
 		}
 	}
-	if by != 1 || plain != 1 { // facet wraps the store's SampleInto
-		t.Fatalf("bounded call used byCalls=%d calls=%d, want the facet path", by, plain)
-	}
 
+	// The plain call is the unbounded one: it replaces a live deadline
+	// with the zero value.
+	if _, err := e.TrySampleNeighborsIntoBy(1, out, r, time.Now().Add(time.Hour)); err != nil {
+		t.Fatalf("bounded sample: %v", err)
+	}
 	if _, err := e.TrySampleNeighborsInto(1, out, r); err != nil {
 		t.Fatalf("unbounded sample: %v", err)
 	}
-	var by2 int64
-	for _, g := range backs {
-		for _, b := range g {
-			by2 += b.byCalls.Load()
-		}
-	}
-	if by2 != by {
-		t.Fatal("unbounded call took the deadline facet")
+	if got := *owner.lastDL.Load(); !got.IsZero() {
+		t.Fatalf("unbounded call handed the backend deadline %v, want zero", got)
 	}
 }
 

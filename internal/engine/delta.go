@@ -42,8 +42,6 @@ var (
 	// ErrBadAppend rejects malformed edges (foreign src, out-of-range
 	// endpoint, non-positive or non-finite weight, unknown type).
 	ErrBadAppend = errors.New("engine: invalid append edge")
-	// ErrAppendUnsupported marks a backend with no append facet.
-	ErrAppendUnsupported = errors.New("engine: backend does not support append")
 )
 
 // SeqGapError reports an out-of-order append and the sequence number
@@ -61,15 +59,6 @@ func (e *SeqGapError) Error() string {
 // Is reports errors.Is membership in the ErrSeqGap class.
 func (e *SeqGapError) Is(target error) bool { return target == ErrSeqGap }
 
-// EdgeAppender is the optional write facet of a ShardBackend: local
-// shards apply directly, remote stubs forward over the graph-append op.
-// AppendEdges atomically applies one batch (all edges must belong to
-// this backend's partition) and returns the sequence number it was
-// applied under.
-type EdgeAppender interface {
-	AppendEdges(edges []ingest.Edge) (seq uint64, err error)
-}
-
 // IngestStats describes one shard's write-path state for observability.
 type IngestStats struct {
 	Shard       int
@@ -81,13 +70,6 @@ type IngestStats struct {
 	Fsyncs      uint64
 	FsyncNanos  uint64
 	FsyncHist   []uint64 // aligned with ingest.FsyncBounds (+Inf last); nil when unavailable
-}
-
-// IngestReporter is the optional observability facet of the write path.
-// The second return is false when the backend cannot currently report
-// (e.g. a remote stub that has not fetched stats yet).
-type IngestReporter interface {
-	IngestStats() (IngestStats, bool)
 }
 
 // deltaView is one immutable snapshot of a shard's overlay state.
@@ -173,8 +155,8 @@ func (s *Shard) ApplyAppend(seq uint64, edges []ingest.Edge) (applied bool, last
 	return true, seq, nil
 }
 
-// AppendEdges implements EdgeAppender for the in-process shard: it
-// sequences the batch itself (local engines have no concurrent writer).
+// AppendEdges is the in-process shard's ShardBackend write: it sequences
+// the batch itself (local engines have no concurrent writer).
 func (s *Shard) AppendEdges(edges []ingest.Edge) (uint64, error) {
 	s.deltaMu.Lock()
 	defer s.deltaMu.Unlock()
@@ -185,8 +167,8 @@ func (s *Shard) AppendEdges(edges []ingest.Edge) (uint64, error) {
 	return seq, nil
 }
 
-// IngestStats implements IngestReporter for the in-process shard (no
-// WAL fields: durability lives with the rpc server when configured).
+// IngestStats reports the in-process shard's write-path row (no WAL
+// fields: durability lives with the rpc server when configured).
 func (s *Shard) IngestStats() (IngestStats, bool) {
 	d := s.DeltaStats()
 	return IngestStats{
@@ -411,9 +393,3 @@ func (s *Shard) deltaDegree(id graph.NodeID) int {
 	}
 	return 0
 }
-
-// ensure the facets stay implemented.
-var (
-	_ EdgeAppender   = (*Shard)(nil)
-	_ IngestReporter = (*Shard)(nil)
-)

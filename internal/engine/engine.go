@@ -9,12 +9,12 @@
 // The Engine itself is the routing layer: a single-node call is directed
 // to the owning shard with one arithmetic or array-index lookup, and
 // multi-node calls (cache refresh batches, SampleTree frontiers) are
-// scatter-gathered so each shard is visited exactly once per batch. Both
-// the Engine and the in-process Shard implement GraphService, and the
-// Engine holds its per-shard stores behind the ShardBackend interface —
-// the seam where an RPC-backed shard plugs in (internal/rpc.RemoteShard):
-// NewWithBackends accepts any mix of local *Shards and remote stubs, and
-// each per-shard batch visit maps onto exactly one RPC round trip.
+// scatter-gathered so each shard is visited exactly once per batch. The
+// Engine holds its per-shard stores behind one interface, ShardBackend,
+// which both the in-process *Shard and the RPC stub
+// (internal/rpc.RemoteShard) implement in full: NewWithReplicaSets
+// accepts any mix of local *Shards and remote stubs, and each per-shard
+// batch visit maps onto exactly one RPC round trip.
 //
 // The hot path is lock- and allocation-free: routing is O(1) arithmetic,
 // every shard's alias arrays are immutable after New and read without
@@ -23,18 +23,18 @@
 // independently counted region, as in the single-box benchmarks) or on
 // separate shard servers over TCP, exactly as in the paper's deployment.
 //
-// Shard ownership is dynamic: the Engine publishes its per-shard
-// backends as an immutable set behind an atomic, epoch-checked pointer,
-// so a live handoff (a partition migrating between shard servers) swaps
-// the set with InstallBackends while the hot path keeps reading it with
-// a single load. In-flight calls complete against the set they loaded;
-// a call that lands on a drained shard gets the typed ErrWrongEpoch
+// Shard ownership is dynamic: the Engine publishes its per-shard backends
+// as an immutable set behind an atomic, epoch-checked pointer, so a live
+// handoff (a partition migrating between shard servers) swaps the set
+// with InstallReplicaSets while the hot path keeps reading it with a
+// single load. In-flight calls complete against the set they loaded; a
+// call that lands on a drained shard gets the typed ErrWrongEpoch
 // redirect, which triggers the installed RefreshFunc once and a bounded
 // retry — handoffs never surface to callers (see docs/ARCHITECTURE.md).
 //
 // Error contract: batch calls (SampleNeighborsBatchInto, SampleTree) and
 // TrySampleNeighborsInto return transport failures as typed errors with
-// no partial-result corruption. The error-free GraphService surface
+// no partial-result corruption. The error-free read surface
 // (Neighbors, Features, Content, SampleNeighborsInto) panics on a remote
 // transport failure — it exists for in-process use and for healthy
 // clusters; fault-tolerant callers go through the error-returning calls.
@@ -119,115 +119,68 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrWrongEpoch) || errors.Is(err, ErrShardUnavailable)
 }
 
-// GraphService is the read surface of one graph store: weighted neighbor
-// sampling plus the node attribute reads the samplers and the serving
-// embedder need. The in-process *Shard implements it over its partition;
-// *Engine implements it as the routing layer over all shards. An
-// RPC-backed shard implements the same four methods over the wire (plus,
-// in practice, a batch sampling call mirroring SampleNeighborsBatchInto).
-type GraphService interface {
-	SampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) int
-	Neighbors(id graph.NodeID) []graph.Edge
-	Features(id graph.NodeID) []int32
-	Content(id graph.NodeID) tensor.Vec
-}
-
-// ShardBackend is one partition's store as the routing layer sees it:
-// the GraphService read surface with explicit error returns (a remote
-// store can fail; the in-process *Shard never does) plus the group call
-// the scatter-gather batch path issues — one SampleBatchInto per owning
-// shard per batch, which an RPC backend serves in one round trip.
+// ShardBackend is one partition's store as the routing layer sees it.
+// Exactly two stores implement it in full: the in-process *Shard (which
+// never fails, never blocks and ignores deadlines) and the wire stub
+// internal/rpc.RemoteShard. Every method is required, so the routing
+// layer never probes a backend for optional capabilities.
 //
-// SampleBatchInto's contract: entry j is node gids[j] at global batch
-// index idx[j]; its k draws go to out[idx[j]*k:(idx[j]+1)*k] and its
-// count (k, or 0 for an isolated node) to ns[idx[j]], drawing from the
-// sub-stream derived from (base, idx[j]) so results are bit-identical
-// however entries are grouped. On error the backend's writes to out/ns
-// are unspecified; the Engine re-zeroes ns before surfacing the error.
+// Reads: SampleInto draws len(out) weighted neighbors of id from r's
+// stream, bounded by an absolute per-call deadline (zero: unbounded).
+// On error it reports 0 draws, out is unspecified and r is not consumed;
+// a deadline failure wraps ErrDeadlineExceeded. NeighborsOf, FeaturesOf
+// and ContentOf are the attribute reads with the same error contract.
+//
+// Batches: SampleBatchInto serves one scatter-gather group — entry j is
+// node gids[j] at global batch index idx[j]; its k draws go to
+// out[idx[j]*k:(idx[j]+1)*k] and its count (k, or 0 for an isolated
+// node) to ns[idx[j]], drawing from the sub-stream derived from
+// (base, idx[j]) so results are bit-identical however entries are
+// grouped. StartSampleBatch is the same visit issued without waiting for
+// its result — a remote store puts the request on the wire and returns,
+// a local one runs it to completion — so the parallel batch path can put
+// every group in flight before collecting any. On error the backend's
+// writes to out/ns are unspecified; the Engine re-zeroes ns before
+// surfacing the error.
+//
+// Writes: AppendEdges atomically applies one batch (every edge belongs
+// to this backend's partition) and returns the sequence number it was
+// applied under.
+//
+// Observability: Healthy reports whether the store would admit a call
+// right now (a remote stub's failure circuit is closed); the replica
+// pick steers traffic around unhealthy members. Requests and ShardSize
+// feed Stats; IngestStats reports the write-path row, false when the
+// backend cannot report yet (a remote stub before its first refresh).
 type ShardBackend interface {
-	SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error)
+	SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error)
 	SampleBatchInto(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (int, error)
+	StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) BatchHandle
 	NeighborsOf(id graph.NodeID) ([]graph.Edge, error)
 	FeaturesOf(id graph.NodeID) ([]int32, error)
 	ContentOf(id graph.NodeID) (tensor.Vec, error)
-}
-
-// BatchStarter is optionally implemented by backends that can issue a
-// scatter-gather visit without blocking for its result — the seam the
-// parallel batch path prefers: the caller starts every remote group
-// back-to-back, so the visits overlap on the wire with no goroutine
-// handoff at all, then collects them in shard order. Arguments are
-// exactly SampleBatchInto's; the visit's writes land in the same
-// disjoint out/ns regions. The returned handle must always be awaited —
-// the backend may still be writing into out/ns until AwaitBatch returns.
-type BatchStarter interface {
-	StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) BatchHandle
-}
-
-// BatchHandle is one in-flight started visit. AwaitBatch blocks until
-// the visit completes and reports it exactly as SampleBatchInto would
-// (including the retry-once and typed-failure semantics of a remote
-// backend). A handle may additionally report Started() false, meaning
-// the backend could not put the visit on the wire without blocking (its
-// connection window was full) and AwaitBatch will issue the whole call
-// synchronously; the batch path awaits all started handles — releasing
-// the window capacity this caller holds — before awaiting those.
-type BatchHandle interface {
-	AwaitBatch() (int, error)
-}
-
-// batchStarted is the optional Started() facet of a BatchHandle.
-type batchStarted interface{ Started() bool }
-
-// handleStarted reports whether a handle's visit is already on the wire
-// (true for handles that do not expose the facet).
-func handleStarted(h BatchHandle) bool {
-	if s, ok := h.(batchStarted); ok {
-		return s.Started()
-	}
-	return true
-}
-
-// BackendStats is optionally implemented by backends that can report
-// their served-request count and partition size (remote stubs do, from
-// their client-side counter and the server handshake); Stats folds these
-// into its per-shard view.
-type BackendStats interface {
+	AppendEdges(edges []ingest.Edge) (seq uint64, err error)
+	IngestStats() (IngestStats, bool)
+	Healthy() bool
 	Requests() int64
 	ShardSize() (nodes, edges int)
 }
 
-// DeadlineSampler is optionally implemented by backends that can bound
-// one single-sample read by an absolute per-call deadline — the seam the
-// serving tier's request deadlines travel through. The RPC stub
-// implements it by shrinking its per-call I/O timers to the remaining
-// budget (rpc.ClientConfig.Timeout stays the ceiling); the in-process
-// Shard does not need to (a local read cannot block), so the engine
-// falls back to the plain SampleInto for backends without the facet
-// after checking the deadline itself. The contract matches SampleInto's
-// with one addition: a deadline failure reports 0 draws, wraps
-// ErrDeadlineExceeded, and must not consume r.
-type DeadlineSampler interface {
-	SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error)
+// BatchHandle is one visit issued by StartSampleBatch. AwaitBatch blocks
+// until the visit completes and reports it exactly as SampleBatchInto
+// would (including the retry-once and typed-failure semantics of a
+// remote backend); every handle must be awaited, because the backend may
+// write into out/ns until AwaitBatch returns. Started reports false when
+// the backend could not put the visit on the wire without blocking (its
+// connection window was full) and AwaitBatch will issue the whole call
+// synchronously; the batch path awaits every started handle — releasing
+// the window capacity this caller holds — before awaiting those.
+type BatchHandle interface {
+	AwaitBatch() (int, error)
+	Started() bool
 }
 
-// HealthReporter is optionally implemented by backends that track their
-// transport health (the RPC stub does, from its client's consecutive-
-// failure circuit). The replica pick consults it so steady-state traffic
-// flows around a replica whose circuit is open instead of paying a
-// failed attempt per call; a backend without the facet is always
-// considered healthy. When every replica of a group reports unhealthy
-// the pick falls through to the rotation slot unchanged, so the circuit's
-// single-probe recovery path still sees traffic.
-type HealthReporter interface{ Healthy() bool }
-
-// Both the routing layer and the in-process shard serve the same surface,
-// and the in-process shard is a (never-failing) backend.
-var (
-	_ GraphService = (*Engine)(nil)
-	_ GraphService = (*Shard)(nil)
-	_ ShardBackend = (*Shard)(nil)
-)
+var _ ShardBackend = (*Shard)(nil)
 
 // Config sizes the engine.
 type Config struct {
@@ -262,12 +215,12 @@ func DefaultConfig() Config {
 // (not the Engine) so a pick never dereferences a group from one view
 // with a cursor sized for another.
 type backendSet struct {
-	epoch     uint64           // local install counter; bumps on every swap
-	groups    [][]ShardBackend // replica group per partition, never empty
-	backends  []ShardBackend   // groups[i][0]; the single-owner accessors' view
-	locals    []*Shard         // locals[i] non-nil iff partition i is one in-process shard
-	hasRemote bool
-	cursors   []atomic.Uint32 // per-partition replica rotation
+	epoch    uint64           // local install counter; bumps on every swap
+	groups   [][]ShardBackend // replica group per partition, never empty
+	backends []ShardBackend   // groups[i][0]; the single-owner accessors' view
+	locals   []*Shard         // locals[i] non-nil iff partition i is one in-process shard
+	allLocal bool             // every locals[i] is non-nil: batches visit inline only
+	cursors  []atomic.Uint32  // per-partition replica rotation
 }
 
 // pick returns the index within partition si's replica group to try
@@ -283,7 +236,7 @@ func (set *backendSet) pick(si int, g []ShardBackend) int {
 		if i >= len(g) {
 			i -= len(g)
 		}
-		if h, ok := g[i].(HealthReporter); !ok || h.Healthy() {
+		if g[i].Healthy() {
 			return i
 		}
 	}
@@ -297,18 +250,6 @@ func deadlinePassed(deadline time.Time) bool {
 	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
-// sampleOne issues one single-sample attempt against one backend,
-// threading the per-call deadline through the DeadlineSampler facet when
-// the backend has it. A zero deadline always takes the plain call.
-func sampleOne(be ShardBackend, id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
-	if !deadline.IsZero() {
-		if ds, ok := be.(DeadlineSampler); ok {
-			return ds.SampleIntoBy(id, out, r, deadline)
-		}
-	}
-	return be.SampleInto(id, out, r)
-}
-
 // sampleShard runs one replicated single-sample read against partition
 // si of this view: the picked replica first, then — on a transport
 // failure — each surviving replica in turn. Failover is invisible to the
@@ -319,11 +260,11 @@ func sampleOne(be ShardBackend, id graph.NodeID, out []graph.NodeID, r *rng.RNG,
 // that rebinds the dead replica out of the view. A non-zero deadline
 // bounds the whole replicated read: it is checked before each failover
 // attempt (walking the rotation must not multiply an exhausted budget)
-// and threaded into deadline-capable backends.
+// and handed to every backend attempt unchanged.
 func (set *backendSet) sampleShard(si int, id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (n int, failover bool, err error) {
 	g := set.groups[si]
 	if len(g) == 1 {
-		n, err = sampleOne(g[0], id, out, r, deadline)
+		n, err = g[0].SampleInto(id, out, r, deadline)
 		return n, false, err
 	}
 	start := set.pick(si, g)
@@ -335,7 +276,7 @@ func (set *backendSet) sampleShard(si int, id graph.NodeID, out []graph.NodeID, 
 		if t > 0 && deadlinePassed(deadline) {
 			return 0, true, fmt.Errorf("engine: shard %d failover: %w", si, ErrDeadlineExceeded)
 		}
-		n, err = sampleOne(g[i], id, out, r, deadline)
+		n, err = g[i].SampleInto(id, out, r, deadline)
 		if err == nil || !errors.Is(err, ErrShardUnavailable) {
 			return n, t > 0, err
 		}
@@ -371,17 +312,16 @@ func (set *backendSet) visitShard(si int, gids []graph.NodeID, idx []int32, base
 
 // RefreshFunc re-resolves shard ownership after a wrong-epoch redirect,
 // typically by querying every shard server's routing epoch and calling
-// InstallBackends with the new binding (internal/rpc's Cluster installs
-// exactly that). It must be safe to call from multiple engine paths; the
-// engine itself single-flights it per stale snapshot.
+// InstallReplicaSets with the new binding (internal/rpc's Cluster
+// installs exactly that). It must be safe to call from multiple engine
+// paths; the engine itself single-flights it per stale snapshot.
 type RefreshFunc func() error
 
 // Engine is the routing layer over the per-shard stores.
 type Engine struct {
-	g        *graph.Graph // nil when every backend is remote
-	routing  *partition.Routing
-	bset     atomic.Pointer[backendSet] // current shard-ownership view
-	replicas int
+	g       *graph.Graph // nil when every backend is remote
+	routing *partition.Routing
+	bset    atomic.Pointer[backendSet] // current shard-ownership view
 
 	numNodes   int
 	contentDim int
@@ -398,80 +338,12 @@ type Engine struct {
 	refreshFn       RefreshFunc
 	refreshFailedAt time.Time
 	refreshKick     atomic.Bool
-
-	// Parallel scatter-gather state (engines with remote backends only):
-	// a lazily started, bounded pool of fan-out workers that dispatch a
-	// batch's per-shard visits concurrently, plus lifecycle guards.
-	fanoutOnce sync.Once
-	fanoutCh   chan visitJob
-	closeOnce  sync.Once
 }
 
-// visitJob is one per-shard batch visit handed to a fan-out worker. The
-// result lands in res (owned by the caller's BatchScratch) and wg is the
-// caller's completion barrier — the job struct itself travels by value
-// through the channel, so dispatch allocates nothing.
-type visitJob struct {
-	be   ShardBackend
-	gids []graph.NodeID
-	idx  []int32
-	base uint64
-	k    int
-	out  []graph.NodeID
-	ns   []int32
-	res  *visitRes
-	wg   *sync.WaitGroup
-}
-
-// visitRes is one visit's outcome slot.
-type visitRes struct {
-	n   int
-	err error
-}
-
-// maxFanoutWorkers bounds the shared fan-out pool; visits are
-// network-bound, so the pool is sized for overlap, not CPU.
-const maxFanoutWorkers = 64
-
-// startFanout lazily starts the bounded worker pool that overlaps remote
-// shard visits. Sized so one batch spanning every shard fans out fully
-// and a few callers overlap, capped to keep goroutine count bounded.
-func (e *Engine) startFanout() {
-	e.fanoutOnce.Do(func() {
-		n := 4 * e.routing.NumShards()
-		if n < 4 {
-			n = 4
-		}
-		if n > maxFanoutWorkers {
-			n = maxFanoutWorkers
-		}
-		e.fanoutCh = make(chan visitJob, n)
-		for i := 0; i < n; i++ {
-			go func() {
-				for j := range e.fanoutCh {
-					j.res.n, j.res.err = j.be.SampleBatchInto(j.gids, j.idx, j.base, j.k, j.out, j.ns)
-					j.wg.Done()
-				}
-			}()
-		}
-	})
-}
-
-// Close stops the fan-out workers of an engine with remote backends (a
-// no-op for local-only engines, which never start any). Safe to call
-// more than once, but must not race in-flight batch calls — quiesce
-// callers first, as rpc.Cluster.Close (which calls it for engines it
-// assembled) does at teardown.
-func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		// Ensure fanoutOnce is spent so no worker pool can start after
-		// the channel close decision.
-		e.fanoutOnce.Do(func() {})
-		if e.fanoutCh != nil {
-			close(e.fanoutCh)
-		}
-	})
-}
+// Close releases nothing: the engine owns no goroutines, connections or
+// files (an rpc.Cluster owns the clients behind its remote backends).
+// It is kept so callers can pair construction with a deferred Close.
+func (e *Engine) Close() {}
 
 // New partitions g and builds one in-process store per shard,
 // precomputing every owned adjacency's alias table into the shard's flat
@@ -485,75 +357,46 @@ func New(g *graph.Graph, cfg Config) *Engine {
 	e := &Engine{
 		g:          g,
 		routing:    part.RoutingTable(),
-		replicas:   cfg.Replicas,
 		numNodes:   g.NumNodes(),
 		contentDim: g.ContentDim(),
 	}
 	locals := make([]*Shard, cfg.Shards)
-	backends := make([]ShardBackend, cfg.Shards)
+	groups := make([][]ShardBackend, cfg.Shards)
 	for i := range locals {
 		locals[i] = newShard(i, part, cfg.Replicas)
-		backends[i] = locals[i]
+		groups[i] = []ShardBackend{locals[i]}
 	}
 	buildShardTables(locals)
-	e.bset.Store(newBackendSet(0, backends))
+	e.bset.Store(newReplicaSet(0, groups))
 	return e
 }
 
-// NewWithBackends assembles the routing layer over pre-built stores — any
-// mix of in-process *Shards (BuildShard) and remote stubs
-// (internal/rpc.RemoteShard). routing is the partition's table (fetched
-// from a shard server or built locally); contentDim describes the graph
-// behind the backends (reported by the server handshake). The engine has
-// no local *graph.Graph: Graph() returns nil and whole-graph offline
-// access is unavailable, exactly as for a serving client in the paper's
+// NewWithReplicaSets assembles the routing layer over pre-built stores —
+// any mix of in-process *Shards (BuildShard) and remote stubs
+// (internal/rpc.RemoteShard). groups[i] holds every interchangeable store
+// of partition i: at least one, typically the stubs of every server
+// claiming the partition at the current epoch; a 1-member group is the
+// unreplicated binding. Reads rotate across a group's healthy members
+// and fail over within the group on a transport failure — a single
+// replica death is absorbed below the Engine's read surface; only a
+// whole group failing surfaces, typed (ErrNoReplicas, still matching
+// ErrShardUnavailable). routing is the partition's table (fetched from a
+// shard server or built locally); contentDim describes the graph behind
+// the backends (reported by the server handshake). The engine has no
+// local *graph.Graph: Graph() returns nil and whole-graph offline access
+// is unavailable, exactly as for a serving client in the paper's
 // deployment.
-func NewWithBackends(routing *partition.Routing, backends []ShardBackend, contentDim int) *Engine {
-	groups := make([][]ShardBackend, len(backends))
-	for i, be := range backends {
-		groups[i] = []ShardBackend{be}
-	}
-	return NewWithReplicaSets(routing, groups, contentDim)
-}
-
-// NewWithReplicaSets is NewWithBackends for an N-way replicated cluster:
-// groups[i] holds every interchangeable store of partition i (at least
-// one; typically the stubs of every server claiming the partition at the
-// current epoch). Reads rotate across a group's healthy members and fail
-// over within the group on a transport failure — a single replica death
-// is absorbed below the GraphService surface; only a whole group failing
-// surfaces, typed (ErrNoReplicas, still matching ErrShardUnavailable).
 func NewWithReplicaSets(routing *partition.Routing, groups [][]ShardBackend, contentDim int) *Engine {
 	if routing.NumShards() != len(groups) {
 		panic(fmt.Sprintf("engine: %d replica groups for %d shards", len(groups), routing.NumShards()))
 	}
 	e := &Engine{
 		routing:    routing,
-		replicas:   1,
 		numNodes:   routing.NumNodes(),
 		contentDim: contentDim,
 	}
-	set := newReplicaSet(0, groups)
-	for i, s := range set.locals {
-		if s != nil && len(s.replicas) > e.replicas {
-			e.replicas = len(s.replicas)
-		}
-		if n := len(set.groups[i]); n > e.replicas {
-			e.replicas = n
-		}
-	}
-	e.bset.Store(set)
+	e.bset.Store(newReplicaSet(0, groups))
 	return e
-}
-
-// newBackendSet wraps single-owner backends into one-member replica
-// groups — the unreplicated ownership view.
-func newBackendSet(epoch uint64, backends []ShardBackend) *backendSet {
-	groups := make([][]ShardBackend, len(backends))
-	for i := range backends {
-		groups[i] = backends[i : i+1 : i+1]
-	}
-	return newReplicaSet(epoch, groups)
 }
 
 // newReplicaSet classifies replica groups into an immutable ownership
@@ -565,6 +408,7 @@ func newReplicaSet(epoch uint64, groups [][]ShardBackend) *backendSet {
 		groups:   groups,
 		backends: make([]ShardBackend, len(groups)),
 		locals:   make([]*Shard, len(groups)),
+		allLocal: true,
 		cursors:  make([]atomic.Uint32, len(groups)),
 	}
 	for i, g := range groups {
@@ -574,43 +418,24 @@ func newReplicaSet(epoch uint64, groups [][]ShardBackend) *backendSet {
 		set.backends[i] = g[0]
 		if s, ok := g[0].(*Shard); ok && len(g) == 1 {
 			set.locals[i] = s
-		}
-		for _, be := range g {
-			if _, ok := be.(*Shard); !ok {
-				set.hasRemote = true
-			}
+		} else {
+			set.allLocal = false
 		}
 	}
 	return set
 }
 
-// InstallBackends atomically replaces the engine's per-shard backends —
-// the client half of a live shard handoff. backends must have one entry
-// per partition of the routing table (the node-to-shard assignment never
-// changes; only which store serves a shard does). Calls already in
-// flight complete against the set they loaded; every subsequent call
-// routes through the new one. The slice is copied; the caller may reuse
-// it. Safe for concurrent use: the epoch advances by exactly one per
-// install (CAS loop), so concurrent installers never collapse onto one
-// epoch.
-func (e *Engine) InstallBackends(backends []ShardBackend) {
-	if len(backends) != e.routing.NumShards() {
-		panic(fmt.Sprintf("engine: InstallBackends with %d backends for %d shards",
-			len(backends), e.routing.NumShards()))
-	}
-	copied := append([]ShardBackend(nil), backends...)
-	groups := make([][]ShardBackend, len(copied))
-	for i := range copied {
-		groups[i] = copied[i : i+1 : i+1]
-	}
-	e.installSet(newReplicaSet(0, groups))
-}
-
-// InstallReplicaSets is InstallBackends for replica groups: it atomically
-// replaces the whole N-way binding (rpc.Cluster.Refresh installs the
-// claimant set of every partition through it after polling the cluster).
-// The outer slice is copied; the inner group slices transfer to the
-// engine and must not be mutated afterwards.
+// InstallReplicaSets atomically replaces the engine's per-partition
+// replica groups — the client half of a live shard handoff
+// (rpc.Cluster.Refresh installs the claimant set of every partition
+// through it after polling the cluster). groups must have one entry per
+// partition of the routing table: the node-to-shard assignment never
+// changes, only which stores serve a shard. Calls already in flight
+// complete against the set they loaded; every subsequent call routes
+// through the new one. The outer slice is copied; the inner group slices
+// transfer to the engine and must not be mutated afterwards. Safe for
+// concurrent use: the epoch advances by exactly one per install (CAS
+// loop), so concurrent installers never collapse onto one epoch.
 func (e *Engine) InstallReplicaSets(groups [][]ShardBackend) {
 	if len(groups) != e.routing.NumShards() {
 		panic(fmt.Sprintf("engine: InstallReplicaSets with %d groups for %d shards",
@@ -641,7 +466,7 @@ func (e *Engine) SetRefresh(fn RefreshFunc) {
 }
 
 // Epoch returns the engine's local backend-install counter: 0 at
-// construction, +1 per InstallBackends. Tests and monitoring use it to
+// construction, +1 per InstallReplicaSets. Tests and monitoring use it to
 // observe that a handoff-triggered refresh actually happened.
 func (e *Engine) Epoch() uint64 { return e.bset.Load().epoch }
 
@@ -771,11 +596,11 @@ func (e *Engine) Backend(i int) ShardBackend { return e.bset.Load().backends[i] 
 // first). The slice is shared with the live ownership view — read-only.
 func (e *Engine) ReplicaSet(i int) []ShardBackend { return e.bset.Load().groups[i] }
 
-// must surfaces a backend failure on the error-free GraphService surface;
-// see the package comment's error contract.
+// must surfaces a backend failure on the error-free read surface; see
+// the package comment's error contract.
 func must[T any](v T, err error) T {
 	if err != nil {
-		panic(fmt.Sprintf("engine: remote backend failed on the error-free GraphService surface: %v", err))
+		panic(fmt.Sprintf("engine: remote backend failed on the error-free read surface: %v", err))
 	}
 	return v
 }
@@ -885,26 +710,26 @@ func (e *Engine) SampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng
 // retry loop, then surfaces typed. The serving cache's synchronous miss
 // path uses this call to degrade to an empty neighbor set during a full
 // shard outage.
-//
-// The retry loop is a hand-rolled copy of retryRead: this is the
-// single-sample hot path with a 0 allocs/op pin, and the closure
-// retryRead takes would risk a heap allocation per call. Keep the two
-// loops in sync.
 func (e *Engine) TrySampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
 	return e.TrySampleNeighborsIntoBy(id, out, r, time.Time{})
 }
 
 // TrySampleNeighborsIntoBy is TrySampleNeighborsInto bounded by an
 // absolute per-call deadline (zero: unbounded, the plain call). The
-// deadline travels through the ShardBackend seam: deadline-capable
-// backends (the RPC stub) shrink their per-call I/O timers to the
-// remaining budget, and the engine itself refuses to start — or to keep
-// failing over / chasing ownership refreshes — once the budget is gone.
-// A deadline failure reports 0 draws, wraps ErrDeadlineExceeded, never
-// consumes r, and deliberately skips the refresh-and-retry loop: the
-// shard did not move and its replicas are not down; the caller is out of
-// time. Passing a deadline adds no heap allocation — the serving
+// deadline reaches every backend attempt unchanged: the RPC stub shrinks
+// its per-call I/O timers to the remaining budget (an in-process shard
+// cannot block and ignores it), and the engine itself refuses to start —
+// or to keep failing over / chasing ownership refreshes — once the budget
+// is gone. A deadline failure reports 0 draws, wraps ErrDeadlineExceeded,
+// never consumes r, and deliberately skips the refresh-and-retry loop:
+// the shard did not move and its replicas are not down; the caller is
+// out of time. Passing a deadline adds no heap allocation — the serving
 // request path stays 0 allocs/op.
+//
+// The retry loop is a hand-rolled copy of retryRead: this is the
+// single-sample hot path with a 0 allocs/op pin, and the closure
+// retryRead takes would risk a heap allocation per call. Keep the two
+// loops in sync.
 func (e *Engine) TrySampleNeighborsIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
 	if deadlinePassed(deadline) {
 		return 0, ErrDeadlineExceeded
@@ -936,42 +761,38 @@ type Stats struct {
 	CachedTables int
 }
 
-// Stats snapshots load counters. CachedTables counts the precomputed
-// per-adjacency tables (every owned node with degree > 0) of in-process
-// shards. A remote shard contributes its client-side request counter as a
-// single replica and the partition size its server reported (zeros when
-// the backend implements neither).
+// Stats snapshots load counters from the live ownership view.
+// CachedTables counts the precomputed per-adjacency tables (every owned
+// node with degree > 0) of inline in-process shards. A partition served
+// by a single in-process shard reports one row per in-process replica
+// counter; any other partition reports one row per replica-group member
+// (a remote stub's client-side request counter) and the partition size
+// its primary reported. Replicas is the widest partition's row count, so
+// it tracks InstallReplicaSets.
 func (e *Engine) Stats() Stats {
 	set := e.bset.Load()
-	st := Stats{Shards: len(set.backends), Replicas: e.replicas}
+	st := Stats{Shards: len(set.backends)}
 	var total, maxShard int64
 	for i := range set.backends {
 		var perShard int64
-		var nodes, edges int
+		reps := len(set.groups[i])
 		if s := set.locals[i]; s != nil {
 			for _, rep := range s.replicas {
 				c := rep.requests.Load()
 				st.RequestsPerRep = append(st.RequestsPerRep, c)
 				perShard += c
 			}
-			nodes, edges = s.store.NumNodes(), s.store.NumEdges()
+			reps = len(s.replicas)
 			st.CachedTables += s.Tables()
 		} else {
-			// A replicated partition reports one entry per server replica;
-			// the per-shard count is the sum over the group.
 			for _, be := range set.groups[i] {
-				if bs, ok := be.(BackendStats); ok {
-					c := bs.Requests()
-					st.RequestsPerRep = append(st.RequestsPerRep, c)
-					perShard += c
-					if nodes == 0 && edges == 0 {
-						nodes, edges = bs.ShardSize()
-					}
-				} else {
-					st.RequestsPerRep = append(st.RequestsPerRep, 0)
-				}
+				c := be.Requests()
+				st.RequestsPerRep = append(st.RequestsPerRep, c)
+				perShard += c
 			}
 		}
+		nodes, edges := set.backends[i].ShardSize()
+		st.Replicas = max(st.Replicas, reps)
 		st.RequestsPerShard = append(st.RequestsPerShard, perShard)
 		st.NodesPerShard = append(st.NodesPerShard, nodes)
 		st.EdgesPerShard = append(st.EdgesPerShard, edges)
@@ -1021,16 +842,10 @@ func (e *Engine) Append(edges []ingest.Edge) (int, error) {
 	return appended, nil
 }
 
-// appendShard writes one owner-grouped batch through the partition's
-// EdgeAppender facet — retryRead's write sibling.
+// appendShard writes one owner-grouped batch to partition si —
+// retryRead's write sibling.
 func appendShard(e *Engine, si int, batch []ingest.Edge) (uint64, error) {
-	call := func(be ShardBackend) (uint64, error) {
-		ap, ok := be.(EdgeAppender)
-		if !ok {
-			return 0, fmt.Errorf("engine: shard %d: %w", si, ErrAppendUnsupported)
-		}
-		return ap.AppendEdges(batch)
-	}
+	call := func(be ShardBackend) (uint64, error) { return be.AppendEdges(batch) }
 	set := e.bset.Load()
 	v, failover, err := readShard(set, si, call)
 	for retry := 0; retry < maxEpochRetries && err != nil && retryable(err) && e.refresh(set); retry++ {
@@ -1044,17 +859,13 @@ func appendShard(e *Engine, si int, batch []ingest.Edge) (uint64, error) {
 }
 
 // IngestStats reports the write-path state of every partition whose
-// primary backend exposes the IngestReporter facet (in-process shards
-// always do; remote stubs once their server spoke).
+// primary backend can report it (in-process shards always can; remote
+// stubs once a cluster refresh has observed their server's row).
 func (e *Engine) IngestStats() []IngestStats {
 	set := e.bset.Load()
 	out := make([]IngestStats, 0, len(set.backends))
 	for si, be := range set.backends {
-		ir, ok := be.(IngestReporter)
-		if !ok {
-			continue
-		}
-		st, ok := ir.IngestStats()
+		st, ok := be.IngestStats()
 		if !ok {
 			continue
 		}

@@ -2,11 +2,11 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
 	"zoomer/internal/graph"
+	"zoomer/internal/ingest"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
 	"zoomer/internal/tensor"
@@ -15,8 +15,8 @@ import (
 // slowBackend is a ShardBackend whose batch visit takes a fixed delay —
 // a stand-in for a remote shard server across a real network. Draws are
 // deterministic (entry i draws its own id) so results are checkable.
-// It deliberately does NOT implement BatchStarter, exercising the
-// bounded worker-pool fan-out path.
+// StartSampleBatch launches the visit on its own goroutine and the
+// handle's await joins it, like a request in flight on the wire.
 type slowBackend struct {
 	delay time.Duration
 	fail  error
@@ -24,7 +24,7 @@ type slowBackend struct {
 
 var errInjected = errors.New("injected backend failure")
 
-func (sb *slowBackend) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
+func (sb *slowBackend) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG, _ time.Time) (int, error) {
 	if sb.fail != nil {
 		return 0, sb.fail
 	}
@@ -54,12 +54,11 @@ func (sb *slowBackend) SampleBatchInto(gids []graph.NodeID, idx []int32, base ui
 func (sb *slowBackend) NeighborsOf(id graph.NodeID) ([]graph.Edge, error) { return nil, nil }
 func (sb *slowBackend) FeaturesOf(id graph.NodeID) ([]int32, error)       { return nil, nil }
 func (sb *slowBackend) ContentOf(id graph.NodeID) (tensor.Vec, error)     { return nil, nil }
-
-// slowStarterBackend additionally implements BatchStarter, exercising
-// the async overlap path: Start launches the visit, Await joins it.
-type slowStarterBackend struct {
-	slowBackend
-}
+func (sb *slowBackend) AppendEdges(edges []ingest.Edge) (uint64, error)   { return 0, errInjected }
+func (sb *slowBackend) IngestStats() (IngestStats, bool)                  { return IngestStats{}, false }
+func (sb *slowBackend) Healthy() bool                                     { return true }
+func (sb *slowBackend) Requests() int64                                   { return 0 }
+func (sb *slowBackend) ShardSize() (nodes, edges int)                     { return 0, 0 }
 
 type slowHandle struct {
 	done chan struct{}
@@ -72,7 +71,9 @@ func (h *slowHandle) AwaitBatch() (int, error) {
 	return h.n, h.err
 }
 
-func (sb *slowStarterBackend) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) BatchHandle {
+func (h *slowHandle) Started() bool { return true }
+
+func (sb *slowBackend) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) BatchHandle {
 	h := &slowHandle{done: make(chan struct{})}
 	go func() {
 		h.n, h.err = sb.SampleBatchInto(gids, idx, base, k, out, ns)
@@ -92,12 +93,11 @@ func fanoutWorld(t *testing.T, mk func(delay time.Duration) ShardBackend, delay 
 	}
 	g := b.Build()
 	routing := partition.Split(g, shards, partition.Hash).RoutingTable()
-	backends := make([]ShardBackend, shards)
-	for i := range backends {
-		backends[i] = mk(delay)
+	groups := make([][]ShardBackend, shards)
+	for i := range groups {
+		groups[i] = []ShardBackend{mk(delay)}
 	}
-	e := NewWithBackends(routing, backends, 0)
-	t.Cleanup(e.Close)
+	e := NewWithReplicaSets(routing, groups, 0)
 	ids := make([]graph.NodeID, 16)
 	for i := range ids {
 		ids[i] = graph.NodeID(i) // hash partitioning: i%4 spreads over all shards
@@ -140,18 +140,11 @@ func checkFanoutBatch(t *testing.T, e *Engine, ids []graph.NodeID, delay time.Du
 	}
 }
 
-// The worker-pool fan-out must overlap visits to backends without async
-// support: latency approaches max-of-shards, not sum-of-shards.
-func TestFanoutOverlapsWorkerPoolVisits(t *testing.T) {
-	const delay = 30 * time.Millisecond
-	e, ids := fanoutWorld(t, func(d time.Duration) ShardBackend { return &slowBackend{delay: d} }, delay)
-	checkFanoutBatch(t, e, ids, delay)
-}
-
-// The async BatchStarter path must overlap visits the same way.
+// Started visits must overlap: latency approaches max-of-shards, not
+// sum-of-shards.
 func TestFanoutOverlapsStartedVisits(t *testing.T) {
 	const delay = 30 * time.Millisecond
-	e, ids := fanoutWorld(t, func(d time.Duration) ShardBackend { return &slowStarterBackend{slowBackend{delay: d}} }, delay)
+	e, ids := fanoutWorld(t, func(d time.Duration) ShardBackend { return &slowBackend{delay: d} }, delay)
 	checkFanoutBatch(t, e, ids, delay)
 }
 
@@ -159,7 +152,7 @@ func TestFanoutOverlapsStartedVisits(t *testing.T) {
 // tree over four delayed shards costs ~2 delays, not ~8.
 func TestFanoutOverlapsTreeHops(t *testing.T) {
 	const delay = 20 * time.Millisecond
-	e, _ := fanoutWorld(t, func(d time.Duration) ShardBackend { return &slowStarterBackend{slowBackend{delay: d}} }, delay)
+	e, _ := fanoutWorld(t, func(d time.Duration) ShardBackend { return &slowBackend{delay: d} }, delay)
 	start := time.Now()
 	tree, err := e.SampleTree(graph.NodeID(1), 2, 4, rng.New(2), NewBatchScratch())
 	elapsed := time.Since(start)
@@ -178,36 +171,27 @@ func TestFanoutOverlapsTreeHops(t *testing.T) {
 // surface the failure, exactly like the sequential path — no partial
 // results regardless of which shard failed or how late.
 func TestFanoutFailureZeroesAllCounts(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			const delay = 5 * time.Millisecond
-			mk := func(d time.Duration) ShardBackend { return &slowBackend{delay: d} }
-			if async {
-				mk = func(d time.Duration) ShardBackend { return &slowStarterBackend{slowBackend{delay: d}} }
+	// Every backend now starts its visits asynchronously; the subtest keeps
+	// the name it had when a synchronous worker-pool leg ran beside it.
+	t.Run("async=true", func(t *testing.T) {
+		const delay = 5 * time.Millisecond
+		e, ids := fanoutWorld(t, func(d time.Duration) ShardBackend { return &slowBackend{delay: d} }, delay)
+		// Inject a failure into shard 2 only.
+		e.Backend(2).(*slowBackend).fail = errInjected
+		const k = 3
+		out := make([]graph.NodeID, len(ids)*k)
+		ns := make([]int32, len(ids))
+		for i := range ns {
+			ns[i] = 9 // sentinel
+		}
+		_, err := e.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(3), nil)
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("parallel batch error %v does not wrap the backend failure", err)
+		}
+		for i, v := range ns {
+			if v != 0 {
+				t.Fatalf("entry %d count %d after failed parallel batch (partial results)", i, v)
 			}
-			e, ids := fanoutWorld(t, mk, delay)
-			// Inject a failure into shard 2 only.
-			switch be := e.Backend(2).(type) {
-			case *slowBackend:
-				be.fail = errInjected
-			case *slowStarterBackend:
-				be.fail = errInjected
-			}
-			const k = 3
-			out := make([]graph.NodeID, len(ids)*k)
-			ns := make([]int32, len(ids))
-			for i := range ns {
-				ns[i] = 9 // sentinel
-			}
-			_, err := e.SampleNeighborsBatchInto(ids, k, out, ns, rng.New(3), nil)
-			if !errors.Is(err, errInjected) {
-				t.Fatalf("parallel batch error %v does not wrap the backend failure", err)
-			}
-			for i, v := range ns {
-				if v != 0 {
-					t.Fatalf("entry %d count %d after failed parallel batch (partial results)", i, v)
-				}
-			}
-		})
-	}
+		}
+	})
 }

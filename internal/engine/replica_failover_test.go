@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"zoomer/internal/graph"
 	"zoomer/internal/graphbuild"
+	"zoomer/internal/ingest"
 	"zoomer/internal/loggen"
 	"zoomer/internal/partition"
 	"zoomer/internal/rng"
@@ -20,7 +22,7 @@ import (
 type flakyBackend struct {
 	sh        *Shard
 	failing   atomic.Bool // calls return a transport failure
-	unhealthy atomic.Bool // HealthReporter says avoid me
+	unhealthy atomic.Bool // Healthy says avoid me
 	calls     atomic.Int64
 }
 
@@ -28,12 +30,12 @@ func (fb *flakyBackend) transportErr() error {
 	return fmt.Errorf("flaky: %w", ErrShardUnavailable)
 }
 
-func (fb *flakyBackend) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
+func (fb *flakyBackend) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
 	fb.calls.Add(1)
 	if fb.failing.Load() {
 		return 0, fb.transportErr()
 	}
-	return fb.sh.SampleInto(id, out, r)
+	return fb.sh.SampleInto(id, out, r, deadline)
 }
 
 func (fb *flakyBackend) SampleBatchInto(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) (int, error) {
@@ -42,6 +44,11 @@ func (fb *flakyBackend) SampleBatchInto(gids []graph.NodeID, idx []int32, base u
 		return 0, fb.transportErr()
 	}
 	return fb.sh.SampleBatchInto(gids, idx, base, k, out, ns)
+}
+
+func (fb *flakyBackend) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) BatchHandle {
+	n, err := fb.SampleBatchInto(gids, idx, base, k, out, ns)
+	return doneBatch{n: n, err: err}
 }
 
 func (fb *flakyBackend) NeighborsOf(id graph.NodeID) ([]graph.Edge, error) {
@@ -68,7 +75,18 @@ func (fb *flakyBackend) ContentOf(id graph.NodeID) (tensor.Vec, error) {
 	return fb.sh.ContentOf(id)
 }
 
-func (fb *flakyBackend) Healthy() bool { return !fb.unhealthy.Load() }
+func (fb *flakyBackend) AppendEdges(edges []ingest.Edge) (uint64, error) {
+	fb.calls.Add(1)
+	if fb.failing.Load() {
+		return 0, fb.transportErr()
+	}
+	return fb.sh.AppendEdges(edges)
+}
+
+func (fb *flakyBackend) IngestStats() (IngestStats, bool) { return fb.sh.IngestStats() }
+func (fb *flakyBackend) Healthy() bool                    { return !fb.unhealthy.Load() }
+func (fb *flakyBackend) Requests() int64                  { return fb.sh.Requests() }
+func (fb *flakyBackend) ShardSize() (nodes, edges int)    { return fb.sh.ShardSize() }
 
 // replicaFixture builds an engine whose every partition is served by a
 // replica group of two flaky wrappers over the same store, plus a plain
@@ -240,5 +258,108 @@ func TestReplicaRotationSpreadsLoad(t *testing.T) {
 		if a == 0 || b == 0 {
 			t.Fatalf("shard %d: load not spread (replica calls %d / %d)", id, a, b)
 		}
+	}
+}
+
+// A replica group of two in-process shards of the same partition is the
+// topology that reaches Shard.StartSampleBatch and Shard.Healthy (a
+// 1-member group is visited inline): single draws, batches and trees over
+// it are bit-identical to New over the same graph, the rotation charges
+// both members, and Stats reports the group width.
+func TestInProcessReplicaGroupMatchesLocal(t *testing.T) {
+	logs := loggen.MustGenerate(loggen.TaobaoConfig(loggen.ScaleTiny, 1))
+	g := graphbuild.Build(logs, graphbuild.DefaultConfig()).Graph
+	const shards = 3
+	local := New(g, Config{Shards: shards, Replicas: 1, Strategy: partition.Hash})
+	part := partition.Split(g, shards, partition.Hash)
+	groups := make([][]ShardBackend, shards)
+	for id := range groups {
+		groups[id] = []ShardBackend{BuildShard(part, id, 1), BuildShard(part, id, 1)}
+	}
+	e := NewWithReplicaSets(part.RoutingTable(), groups, g.ContentDim())
+
+	rl, rr := rng.New(13), rng.New(13)
+	want := make([]graph.NodeID, 5)
+	got := make([]graph.NodeID, 5)
+	for id := 0; id < g.NumNodes(); id += 5 {
+		nid := graph.NodeID(id)
+		nw := local.SampleNeighborsInto(nid, want, rl)
+		ng, err := e.TrySampleNeighborsInto(nid, got, rr)
+		if err != nil {
+			t.Fatalf("node %d: %v", id, err)
+		}
+		if nw != ng {
+			t.Fatalf("node %d: %d draws, want %d", id, ng, nw)
+		}
+		for i := 0; i < nw; i++ {
+			if want[i] != got[i] {
+				t.Fatalf("node %d draw %d: %d, want %d", id, i, got[i], want[i])
+			}
+		}
+	}
+
+	ids := make([]graph.NodeID, 48)
+	for i := range ids {
+		ids[i] = graph.NodeID((i * 7) % g.NumNodes())
+	}
+	const k = 4
+	bw := make([]graph.NodeID, len(ids)*k)
+	bg := make([]graph.NodeID, len(ids)*k)
+	nsw := make([]int32, len(ids))
+	nsg := make([]int32, len(ids))
+	bs := NewBatchScratch()
+	for round := 0; round < 3; round++ {
+		nw, err := local.SampleNeighborsBatchInto(ids, k, bw, nsw, rl, nil)
+		if err != nil {
+			t.Fatalf("local batch: %v", err)
+		}
+		ng, err := e.SampleNeighborsBatchInto(ids, k, bg, nsg, rr, bs)
+		if err != nil {
+			t.Fatalf("round %d: group batch: %v", round, err)
+		}
+		if nw != ng {
+			t.Fatalf("round %d: %d draws, want %d", round, ng, nw)
+		}
+		for i := range nsw {
+			if nsw[i] != nsg[i] {
+				t.Fatalf("round %d entry %d: count %d, want %d", round, i, nsg[i], nsw[i])
+			}
+		}
+		for i, v := range bw {
+			if bg[i] != v {
+				t.Fatalf("round %d draw %d: %d, want %d", round, i, bg[i], v)
+			}
+		}
+	}
+
+	lbs := NewBatchScratch()
+	for ego := 0; ego < g.NumNodes(); ego += 37 {
+		tw, err := local.SampleTree(graph.NodeID(ego), 2, 3, rl, lbs)
+		if err != nil {
+			t.Fatalf("local tree: %v", err)
+		}
+		tg, err := e.SampleTree(graph.NodeID(ego), 2, 3, rr, bs)
+		if err != nil {
+			t.Fatalf("group tree from %d: %v", ego, err)
+		}
+		if len(tw) != len(tg) {
+			t.Fatalf("tree from %d: %d nodes, want %d", ego, len(tg), len(tw))
+		}
+		for i := range tw {
+			if tw[i] != tg[i] {
+				t.Fatalf("tree from %d node %d: %+v, want %+v", ego, i, tg[i], tw[i])
+			}
+		}
+	}
+
+	for id, grp := range groups {
+		for m, be := range grp {
+			if be.Requests() == 0 {
+				t.Fatalf("shard %d member %d served nothing: the rotation skipped it", id, m)
+			}
+		}
+	}
+	if st := e.Stats(); st.Replicas != 2 || len(st.RequestsPerRep) != 2*shards {
+		t.Fatalf("stats: Replicas=%d with %d per-replica rows, want 2 and %d", st.Replicas, len(st.RequestsPerRep), 2*shards)
 	}
 }

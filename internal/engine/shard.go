@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"zoomer/internal/alias"
 	"zoomer/internal/graph"
@@ -19,9 +20,9 @@ import (
 // locks; replicas carry only atomic load counters. Online appends layer
 // per-node overlays on top via the atomically swapped delta view (see
 // delta.go) — the read path loads it once per call and never locks.
-// Shard implements GraphService for global node ids it owns — calls for
-// foreign ids are a routing bug and will read another node's rows or
-// index out of range.
+// Shard serves reads for the global node ids it owns — calls for foreign
+// ids are a routing bug and will read another node's rows or index out
+// of range.
 type Shard struct {
 	id    int
 	part  *partition.Partition
@@ -170,14 +171,46 @@ func (s *Shard) SampleNeighborsInto(id graph.NodeID, out []graph.NodeID, r *rng.
 	return len(out)
 }
 
-// The in-process shard is a ShardBackend that never fails: the error
-// returns exist so the routing layer can hold local shards and remote
-// stubs behind one interface.
+// The in-process shard is a ShardBackend that never fails and never
+// blocks: the error returns and the deadline exist so the routing layer
+// can hold local shards and remote stubs behind one interface.
 
-// SampleInto is SampleNeighborsInto with the ShardBackend signature.
-func (s *Shard) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
+// SampleInto is SampleNeighborsInto with the ShardBackend signature; a
+// local read cannot block, so the deadline is ignored.
+func (s *Shard) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG, _ time.Time) (int, error) {
 	return s.SampleNeighborsInto(id, out, r), nil
 }
+
+// StartSampleBatch runs the visit synchronously and returns an already
+// finished handle.
+func (s *Shard) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) BatchHandle {
+	n, err := s.SampleBatchInto(gids, idx, base, k, out, ns)
+	return doneBatch{n: n, err: err}
+}
+
+// doneBatch is the handle of a visit that completed when it was started.
+type doneBatch struct {
+	n   int
+	err error
+}
+
+func (d doneBatch) AwaitBatch() (int, error) { return d.n, d.err }
+func (d doneBatch) Started() bool            { return true }
+
+// Healthy is always true: an in-process store has no transport to fail.
+func (s *Shard) Healthy() bool { return true }
+
+// Requests sums the shard's replica load counters.
+func (s *Shard) Requests() int64 {
+	var n int64
+	for _, rep := range s.replicas {
+		n += rep.requests.Load()
+	}
+	return n
+}
+
+// ShardSize reports the partition's base node and edge counts.
+func (s *Shard) ShardSize() (nodes, edges int) { return s.store.NumNodes(), s.store.NumEdges() }
 
 // SampleBatchInto serves one scatter-gather group: entry j is node
 // gids[j] at global batch index idx[j], drawing k weighted neighbors from

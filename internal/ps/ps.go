@@ -57,6 +57,10 @@ type Server struct {
 
 	pulls, pushes, applied atomic.Int64
 	maxQueue               atomic.Int64
+	// pending counts pushed updates not yet applied. Flush waits on it
+	// rather than on queue lengths: an apply loop may have dequeued an
+	// update without having applied it yet.
+	pending atomic.Int64
 
 	wg      sync.WaitGroup
 	closing atomic.Bool
@@ -102,6 +106,7 @@ func (s *Server) applyLoop(sh *psShard) {
 		}
 		sh.mu.Unlock()
 		s.applied.Add(1)
+		s.pending.Add(-1)
 	}
 }
 
@@ -156,21 +161,15 @@ func (s *Server) Push(updates []Update) {
 		if d := int64(len(sh.queue)); d > s.maxQueue.Load() {
 			s.maxQueue.Store(d)
 		}
+		s.pending.Add(1)
 		sh.queue <- u
 	}
 }
 
-// Flush blocks until all queued updates have been applied.
+// Flush blocks until all pushed updates have been applied.
 func (s *Server) Flush() {
-	for _, sh := range s.shards {
-		for len(sh.queue) > 0 {
-			runtime.Gosched()
-		}
-	}
-	// One more lock round ensures the last dequeued update finished.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.mu.Unlock() //lint:ignore SA2001 barrier only
+	for s.pending.Load() > 0 {
+		runtime.Gosched()
 	}
 }
 

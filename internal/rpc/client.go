@@ -1014,17 +1014,8 @@ type RemoteShard struct {
 }
 
 // The stub plugs into the routing layer exactly like an in-process
-// shard, and advertises the async seam the parallel scatter-gather path
-// prefers.
-var (
-	_ engine.ShardBackend    = (*RemoteShard)(nil)
-	_ engine.BackendStats    = (*RemoteShard)(nil)
-	_ engine.BatchStarter    = (*RemoteShard)(nil)
-	_ engine.HealthReporter  = (*RemoteShard)(nil)
-	_ engine.DeadlineSampler = (*RemoteShard)(nil)
-	_ engine.EdgeAppender    = (*RemoteShard)(nil)
-	_ engine.IngestReporter  = (*RemoteShard)(nil)
-)
+// shard.
+var _ engine.ShardBackend = (*RemoteShard)(nil)
 
 // NewRemoteShard returns a stub for partition shard behind cl. nodes and
 // edges size the partition for Stats (zero when unknown).
@@ -1035,32 +1026,26 @@ func NewRemoteShard(cl *Client, shard, nodes, edges int) *RemoteShard {
 // Shard returns the partition id this stub serves.
 func (rs *RemoteShard) Shard() int { return rs.shard }
 
-// Requests reports the client-side served-call count (engine.BackendStats).
+// Requests reports the client-side served-call count.
 func (rs *RemoteShard) Requests() int64 { return rs.requests.Load() }
 
 // ShardSize reports the partition size from the server handshake.
 func (rs *RemoteShard) ShardSize() (nodes, edges int) { return rs.nodes, rs.edges }
 
 // Healthy reports whether the underlying client's failure circuit would
-// admit a call right now (engine.HealthReporter) — the engine's replica
-// picker steers reads away from an unhealthy stub.
+// admit a call right now — the engine's replica picker steers reads away
+// from an unhealthy stub.
 func (rs *RemoteShard) Healthy() bool { return rs.cl.Healthy() }
 
 // SampleInto draws len(out) weighted neighbors of id shard-side,
 // consuming r's stream exactly as an in-process shard would: the state
 // travels in the request and the advanced state is restored from the
-// response. On error r is not consumed and out is unspecified.
-func (rs *RemoteShard) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG) (int, error) {
-	return rs.SampleIntoBy(id, out, r, time.Time{})
-}
-
-// SampleIntoBy is SampleInto bounded by a per-call deadline
-// (engine.DeadlineSampler). The remaining budget shrinks the wire
-// timeout for this one call; once spent, the call fails with the typed
-// engine.ErrDeadlineExceeded without consuming r and without charging
-// the client's health circuit. The zero deadline means unbounded and
-// costs no clock read.
-func (rs *RemoteShard) SampleIntoBy(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
+// response. On error r is not consumed and out is unspecified. A
+// non-zero deadline bounds the call: the remaining budget shrinks the
+// wire timeout for this one call; once spent, the call fails with the
+// typed engine.ErrDeadlineExceeded without charging the client's health
+// circuit. The zero deadline means unbounded and costs no clock read.
+func (rs *RemoteShard) SampleInto(id graph.NodeID, out []graph.NodeID, r *rng.RNG, deadline time.Time) (int, error) {
 	if len(out) == 0 {
 		return 0, nil
 	}
@@ -1089,14 +1074,14 @@ func (rs *RemoteShard) SampleBatchInto(gids []graph.NodeID, idx []int32, base ui
 }
 
 // StartSampleBatch puts one scatter-gather visit on the wire without
-// waiting for it — engine.BatchStarter, the overlap mechanism of the
-// parallel batch path. The returned handle must be awaited.
+// waiting for it — the overlap mechanism of the engine's parallel batch
+// path. The returned handle must be awaited.
 func (rs *RemoteShard) StartSampleBatch(gids []graph.NodeID, idx []int32, base uint64, k int, out []graph.NodeID, ns []int32) engine.BatchHandle {
 	rs.requests.Add(int64(len(gids)))
 	return rs.cl.startBatch(gids, idx, base, k, out, ns)
 }
 
-// AppendEdges implements engine.EdgeAppender over the graph-append op:
+// AppendEdges applies one edge batch over the graph-append op:
 // exactly-once in effect over an at-least-once wire. The stub assigns
 // the next sequence number from its cache and retries with the SAME
 // number across transport failures, so a retry of a delivered-but-
@@ -1152,8 +1137,8 @@ func (rs *RemoteShard) AppendEdges(edges []ingest.Edge) (uint64, error) {
 	return 0, fmt.Errorf("rpc: append to shard %d failed after %d attempts: %w", rs.shard, maxAttempts, lastErr)
 }
 
-// IngestStats implements engine.IngestReporter from the stub's cached
-// ingest row; false until a cluster refresh has observed one.
+// IngestStats reports the stub's cached ingest row; false until a
+// cluster refresh has observed one.
 func (rs *RemoteShard) IngestStats() (engine.IngestStats, bool) {
 	if st := rs.ingStats.Load(); st != nil {
 		return *st, true
@@ -1616,12 +1601,8 @@ func (c *Cluster) IngestStats() []engine.IngestStats {
 // Refresh (default 2s). Not concurrency-safe; set before first use.
 func (c *Cluster) SetPollTimeout(d time.Duration) { c.pollTimeout = d }
 
-// Close shuts down the remote engine's fan-out workers and closes every
-// client in the cluster.
+// Close closes every client in the cluster.
 func (c *Cluster) Close() error {
-	if c.Engine != nil {
-		c.Engine.Close()
-	}
 	for _, cl := range c.snapshotClients() {
 		cl.Close()
 	}

@@ -38,7 +38,7 @@ func TestRemoteSampleDeadlineExpiredIsTypedAndUncharged(t *testing.T) {
 	before := r.State()
 	out := make([]graph.NodeID, 4)
 	for i := 0; i < 10; i++ { // well past the circuit's failure threshold
-		_, err := rs.SampleIntoBy(1, out, r, time.Now().Add(-time.Millisecond))
+		_, err := rs.SampleInto(1, out, r, time.Now().Add(-time.Millisecond))
 		if !errors.Is(err, engine.ErrDeadlineExceeded) {
 			t.Fatalf("expired deadline: got %v, want engine.ErrDeadlineExceeded", err)
 		}
@@ -50,7 +50,7 @@ func TestRemoteSampleDeadlineExpiredIsTypedAndUncharged(t *testing.T) {
 		t.Fatal("expired deadlines tripped the health circuit")
 	}
 	// The stub still serves normally afterwards.
-	if _, err := rs.SampleInto(1, out, r); err != nil {
+	if _, err := rs.SampleInto(1, out, r, time.Time{}); err != nil {
 		t.Fatalf("post-deadline sample: %v", err)
 	}
 }
@@ -67,11 +67,11 @@ func TestRemoteSampleDeadlineBitIdentical(t *testing.T) {
 	a := make([]graph.NodeID, 5)
 	b := make([]graph.NodeID, 5)
 	for id := 0; id < 40; id += 3 {
-		na, err := rs.SampleInto(graph.NodeID(id), a, ra)
+		na, err := rs.SampleInto(graph.NodeID(id), a, ra, time.Time{})
 		if err != nil {
 			t.Fatalf("unbounded: %v", err)
 		}
-		nb, err := rs.SampleIntoBy(graph.NodeID(id), b, rb, time.Now().Add(time.Minute))
+		nb, err := rs.SampleInto(graph.NodeID(id), b, rb, time.Now().Add(time.Minute))
 		if err != nil {
 			t.Fatalf("bounded: %v", err)
 		}
@@ -99,7 +99,7 @@ func TestRemoteSampleDeadlineBoundsWireWait(t *testing.T) {
 	r := rng.New(5)
 	out := make([]graph.NodeID, 4)
 	start := time.Now()
-	_, err := rs.SampleIntoBy(1, out, r, time.Now().Add(150*time.Millisecond))
+	_, err := rs.SampleInto(1, out, r, time.Now().Add(150*time.Millisecond))
 	elapsed := time.Since(start)
 	if !errors.Is(err, engine.ErrDeadlineExceeded) {
 		t.Fatalf("blackholed call: got %v, want engine.ErrDeadlineExceeded", err)

@@ -194,7 +194,7 @@ func TestDrainedShardRedirectsTyped(t *testing.T) {
 		t.Fatalf("redirect %v mislabeled as a transport failure", err)
 	}
 	r := rng.New(1)
-	if _, err := rs.SampleInto(onShard1, out, r); !errors.Is(err, engine.ErrWrongEpoch) {
+	if _, err := rs.SampleInto(onShard1, out, r, time.Time{}); !errors.Is(err, engine.ErrWrongEpoch) {
 		t.Fatalf("single-sample redirect: %v", err)
 	}
 
@@ -205,7 +205,7 @@ func TestDrainedShardRedirectsTyped(t *testing.T) {
 		rs.SampleBatchInto([]graph.NodeID{onShard1}, []int32{0}, 9, 4, out, ns)
 	}
 	rs0 := NewRemoteShard(cl, 0, 0, 0)
-	if _, err := rs0.SampleInto(onShard0, out, r); err != nil {
+	if _, err := rs0.SampleInto(onShard0, out, r, time.Time{}); err != nil {
 		t.Fatalf("healthy shard read after redirects: %v", err)
 	}
 

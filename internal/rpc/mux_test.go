@@ -297,12 +297,11 @@ func TestMuxSharedConnectionHammer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("routing: %v", err)
 	}
-	backends := make([]engine.ShardBackend, info.NumShards)
+	groups := make([][]engine.ShardBackend, info.NumShards)
 	for _, sh := range info.Owned {
-		backends[sh.ID] = NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)
+		groups[sh.ID] = []engine.ShardBackend{NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
 	}
-	remote := engine.NewWithBackends(routing, backends, info.ContentDim)
-	t.Cleanup(remote.Close)
+	remote := engine.NewWithReplicaSets(routing, groups, info.ContentDim)
 	local := engine.New(g, engine.Config{Shards: 1, Replicas: 1})
 
 	const workers, iters, k = 16, 80, 5

@@ -235,6 +235,11 @@ func TestMembershipDiscovery(t *testing.T) {
 			t.Fatalf("shard %d bound to %d replicas after join, want 2 (member %s not adopted)", id, got, addrB)
 		}
 	}
+	// Stats reads the installed view: the replica count follows the join.
+	if st := remote.Stats(); st.Replicas != 2 || len(st.RequestsPerRep) != 4 {
+		t.Fatalf("stats after join: Replicas=%d, %d per-replica rows for %d shards; want 2 and 4",
+			st.Replicas, len(st.RequestsPerRep), st.Shards)
+	}
 
 	// The original server dies; the adopted one keeps the cluster alive.
 	srvA.Close()

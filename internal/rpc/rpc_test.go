@@ -239,13 +239,13 @@ func TestMixedLocalRemoteBackends(t *testing.T) {
 		t.Fatalf("routing: %v", err)
 	}
 	part := partition.Split(g, shards, partition.Hash)
-	backends := make([]engine.ShardBackend, shards)
-	backends[0] = engine.BuildShard(part, 0, 1)
-	backends[2] = engine.BuildShard(part, 2, 1)
+	groups := make([][]engine.ShardBackend, shards)
+	groups[0] = []engine.ShardBackend{engine.BuildShard(part, 0, 1)}
+	groups[2] = []engine.ShardBackend{engine.BuildShard(part, 2, 1)}
 	for _, sh := range info.Owned {
-		backends[sh.ID] = NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)
+		groups[sh.ID] = []engine.ShardBackend{NewRemoteShard(cl, sh.ID, sh.Nodes, sh.Edges)}
 	}
-	mixed := engine.NewWithBackends(routing, backends, info.ContentDim)
+	mixed := engine.NewWithReplicaSets(routing, groups, info.ContentDim)
 
 	r := rng.New(17)
 	const k = 5

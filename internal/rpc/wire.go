@@ -3,23 +3,23 @@
 // partitions of the web-scale graph and the serving tier talks to them
 // over the network. A Server owns the engine.Shard stores for the
 // partitions it serves; a RemoteShard is the client-side stub that plugs
-// those stores into the Engine routing layer behind the same
-// engine.ShardBackend seam the in-process shards use.
+// those stores into the Engine routing layer. Both implement the whole
+// engine.ShardBackend interface, so the engine treats them alike.
 //
-// The protocol (version 2) is a compact binary framing over TCP with
-// full-duplex multiplexing. A connection opens with an 8-byte preface
-// exchange (magic + version, rejected loudly on mismatch); after that a
-// frame is a little-endian uint32 body length followed by the body, and
-// every body starts with a uint64 request id: a request body is
-// [u64 id | op byte | payload], a response body is
+// The protocol (version 4, see ProtocolVersion) is a compact binary
+// framing over TCP with full-duplex multiplexing. A connection opens
+// with an 8-byte preface exchange (magic + version, rejected loudly on
+// mismatch); after that a frame is a little-endian uint32 body length
+// followed by the body, and every body starts with a uint64 request id:
+// a request body is [u64 id | op byte | payload], a response body is
 // [u64 id | status byte | payload] where status 0 carries the op's
 // result, status 1 an error string, and status 2 the wrong-epoch
 // redirect of a drained partition. Many requests may be in flight per
-// connection at once — responses are matched by id and may arrive in
-// any order, so N concurrent callers share a small bounded pool of
-// pipelined connections instead of checking a connection out per call.
-// The server dispatches each connection's requests across a bounded
-// worker group, overlapping shard reads behind one socket.
+// connection at once — responses are matched by id and may arrive in any
+// order, so N concurrent callers share a small bounded pool of pipelined
+// connections instead of checking a connection out per call. The server
+// dispatches each connection's requests across a bounded worker group,
+// overlapping shard reads behind one socket.
 //
 // Shard ownership is live: the reassign op moves partitions in and out
 // of a running server's served set (a planned handoff, driven by
@@ -85,8 +85,9 @@ func parsePreface(p []byte) (uint32, error) {
 // monitoring can read per-op server counters.
 type Op byte
 
-// The request vocabulary: the four GraphService methods, the batch call
-// mirroring SampleNeighborsBatchInto, the two handshake reads (metadata
+// The request vocabulary: the single-sample and attribute reads (sample,
+// neighbors, features, content), the batch call mirroring
+// SampleNeighborsBatchInto, the two handshake reads (metadata
 // and the routing table), and the live-handoff pair — reassign (an admin
 // command: acquire or drain one partition) and routing-epoch (the cheap
 // ownership poll clients refresh from after a redirect).

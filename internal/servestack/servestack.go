@@ -1,10 +1,9 @@
-package servestack
-
 // Package servestack is the shared bring-up path of every serving binary
 // (zoomer-serve, zoomer-gateway). Builds the synthetic world, trains and
 // exports the trimmed model, stands up the engine (in-process partitions
 // or a dialed zoomer-shard cluster), the neighbor cache, the ANN index
 // and the worker-pool server — one call, one Close.
+package servestack
 
 import (
 	"fmt"
@@ -23,7 +22,7 @@ import (
 	"zoomer/internal/tensor"
 )
 
-// StackConfig sizes a full serving stack.
+// Config sizes a full serving stack.
 type Config struct {
 	Scale      string // tiny | small | medium | large
 	Seed       uint64
@@ -53,7 +52,7 @@ type Stack struct {
 	cluster *rpc.Cluster
 }
 
-// BuildStack brings up a serving stack from cfg. logf (may be nil)
+// Build brings up a serving stack from cfg. logf (may be nil)
 // receives progress lines — world building and training dominate
 // bring-up time, and the caller's logger should say so.
 func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
@@ -79,12 +78,13 @@ func Build(cfg Config, logf func(format string, args ...any)) (*Stack, error) {
 	g := res.Graph
 	ds := loggen.BuildExamples(logs, 1, 0.2, cfg.Seed+1)
 	train := core.InstancesFromExamples(ds.Train, res.Mapping)
-	test := core.InstancesFromExamples(ds.Test, res.Mapping)
 
+	// Warm-up only: no test set, so Train skips the final evaluation
+	// whose AUC nobody here reads (DefaultTrainConfig sets no TargetAUC).
 	model := core.NewZoomer(g, logs.Vocab(), core.DefaultConfig(), cfg.Seed+2)
 	tc := core.DefaultTrainConfig()
 	tc.MaxSteps = cfg.TrainSteps
-	core.Train(model, train, test, tc)
+	core.Train(model, train, nil, tc)
 
 	logf("exporting serving weights and building index...")
 	emb := serve.NewEmbedder(model.ExportServing())
