@@ -27,11 +27,12 @@ test:
 
 # Race-exercise the concurrent serving stack (scatter-gather, the RPC
 # client connection pool, the gateway's admission/drain path and the
-# group-commit WAL included) plus the full training stack: nn
-# optimizers, the parameter server, the experiments harness (incl. the
-# cross-topology equivalence suite), and the A/B replay.
+# group-commit WAL included) plus the full training stack: the ad tape
+# and its arena (which carries state across steps), the core training
+# loop, nn optimizers, the parameter server, the experiments harness
+# (incl. the cross-topology equivalence suite), and the A/B replay.
 race:
-	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/gateway/... ./internal/ingest/... ./internal/nn/... ./internal/ps/... ./internal/experiments/... ./internal/abtest/...
+	go test -race ./internal/engine/... ./internal/serve/... ./internal/sampling/... ./internal/partition/... ./internal/rpc/... ./internal/gateway/... ./internal/ingest/... ./internal/ad/... ./internal/core/... ./internal/nn/... ./internal/ps/... ./internal/experiments/... ./internal/abtest/...
 
 # Fault-injection suite under the race detector: server kill/restart and
 # churn, replica failover mid-batch, rolling upgrade, zero-replica

@@ -5,14 +5,24 @@
 // operations and obtains exact gradients with Backward.
 //
 // The design is a dynamic tape ("define-by-run"): each operation appends a
-// node holding its output value and a closure that propagates the output
-// gradient to the operation's inputs. Backward walks the tape in reverse.
-// Gradients accumulate, so shared subexpressions and parameter reuse work
-// naturally.
+// node holding its output value, an op code and its operands. Backward
+// walks the tape in reverse and dispatches on the op code to propagate
+// the output gradient to the operands. Gradients accumulate, so shared
+// subexpressions and parameter reuse work naturally.
+//
+// A tape owns an arena: nodes, value and gradient matrices and each op's
+// side buffers are carved out of chunks the tape keeps. A training loop
+// holds one tape and calls Reset at the start of every step, so the
+// steady-state step allocates almost nothing; Reset invalidates every
+// Node, Val and Grad recorded before it. NewTape is cheap and grows its
+// arena lazily, so a throwaway tape per forward pass stays fine where
+// allocation does not matter.
 //
 // Parameters live outside the tape (see package nn); they join a forward
 // pass via Tape.Watch, which wires a persistent gradient buffer into the
 // tape so that optimizers can read accumulated gradients after Backward.
+// Matrices passed to Watch and Const stay the caller's: the arena never
+// takes them over.
 package ad
 
 import (
@@ -22,9 +32,41 @@ import (
 	"zoomer/internal/tensor"
 )
 
+// op selects how Backward propagates a node's gradient to its operands.
+type op uint8
+
+const (
+	opLeaf op = iota // Const, Watch: nothing to propagate
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opScale
+	opMatMul
+	opAddBias
+	opConcatCols
+	opConcatRows
+	opSliceRows
+	opSoftmaxRows
+	opSigmoid
+	opTanh
+	opReLU
+	opLeakyReLU
+	opSqrt
+	opSumAll
+	opMeanRows
+	opBCE
+	opFocalBCE
+	opTranspose
+	opScaleBy
+	opGather
+	opCustom
+)
+
 // Node is one value in a computation graph: an output matrix plus the
-// machinery to propagate gradients to its inputs. Nodes are created only
-// through Tape methods.
+// operands and op code Backward needs to propagate gradients to its
+// inputs. Nodes are created only through Tape methods and live until the
+// tape's next Reset.
 type Node struct {
 	// Val is the forward value. It must not be mutated after creation.
 	Val *tensor.Matrix
@@ -33,8 +75,18 @@ type Node struct {
 	Grad *tensor.Matrix
 
 	tape      *Tape
+	a, b      *Node
 	needsGrad bool
-	back      func() // propagate n.Grad into input nodes; nil for leaves
+	op        op
+	alpha     float32 // Scale/LeakyReLU factor, MeanRows' 1/rows, ScaleBy's scalar
+	// aux and naux locate the op's side data in the tape: SliceRows' first
+	// row (aux), Concat operands (refs), BCE targets and FocalBCE
+	// per-logit gradients (wide), a Gather record (gathers, with naux ids)
+	// or a Custom closure (customs).
+	aux, naux int32
+
+	// val and grad back Val and Grad when the arena owns them.
+	val, grad tensor.Matrix
 }
 
 // Rows returns the row count of the node's value.
@@ -53,39 +105,93 @@ func (n *Node) Scalar() float32 {
 
 func (n *Node) ensureGrad() *tensor.Matrix {
 	if n.Grad == nil {
-		n.Grad = tensor.NewMatrix(n.Val.Rows, n.Val.Cols)
+		n.grad = tensor.Matrix{Rows: n.Val.Rows, Cols: n.Val.Cols, Data: n.tape.floats.alloc(len(n.Val.Data))}
+		n.Grad = &n.grad
 	}
 	return n.Grad
 }
 
-// Tape records operations for reverse-mode differentiation. A Tape is for
-// a single forward/backward cycle; allocate a fresh one per training step.
-// Tapes are not safe for concurrent use.
-type Tape struct {
-	nodes []*Node
+// GradSink receives the gradient of a Gather node during Backward: row i
+// of grad is dL/d(table row ids[i]). Sparse embedding tables implement it
+// to scatter gradients into their own storage.
+type GradSink interface {
+	AccumulateRows(ids []int32, grad *tensor.Matrix)
 }
 
-// NewTape returns an empty tape.
+// Tape records operations for reverse-mode differentiation, one
+// forward/backward cycle at a time. A training loop keeps one tape and
+// calls Reset before every step: Reset invalidates every Node, Val and
+// Grad recorded before it, and keeps the arena, which grows to the
+// largest cycle seen, for the next cycle. Tapes are not safe for
+// concurrent use.
+type Tape struct {
+	nodes  slab[Node]    // recorded nodes, in creation order
+	floats slab[float32] // value and gradient matrices
+
+	// Side buffers, which nodes address by offset (see Node.aux).
+	refs    []*Node
+	wide    []float64
+	ids     []int32
+	gathers []gather
+	customs []func(out *Node)
+	n       int
+}
+
+// gather is a Gather node's side data: its sink and the offset of its ids
+// in Tape.ids.
+type gather struct {
+	sink GradSink
+	ids  int32
+}
+
+// NewTape returns an empty tape. It allocates no arena until the first
+// operation.
 func NewTape() *Tape { return &Tape{} }
+
+// Reset clears the tape for the next forward/backward cycle. Every Node
+// recorded before it, and every Val and Grad matrix the tape handed out,
+// is invalid afterwards: their memory is reused. Parameter gradients
+// supplied through Watch are the caller's and are not touched.
+func (t *Tape) Reset() {
+	t.nodes.reset()
+	t.floats.reset()
+	clear(t.customs)
+	t.refs, t.wide, t.ids, t.gathers, t.customs = t.refs[:0], t.wide[:0], t.ids[:0], t.gathers[:0], t.customs[:0]
+	t.n = 0
+}
 
 // Len reports the number of recorded nodes, useful for memory accounting
 // in the efficiency experiments.
-func (t *Tape) Len() int { return len(t.nodes) }
+func (t *Tape) Len() int { return t.n }
 
-func (t *Tape) record(val *tensor.Matrix, needsGrad bool, back func()) *Node {
-	n := &Node{Val: val, tape: t, needsGrad: needsGrad, back: back}
-	t.nodes = append(t.nodes, n)
+// record appends a zeroed node with the given op to the tape.
+func (t *Tape) record(o op, needsGrad bool) *Node {
+	n := &t.nodes.alloc(1)[0]
+	n.tape, n.op, n.needsGrad = t, o, needsGrad
+	t.n++
 	return n
+}
+
+// value gives n a zeroed rows x cols value matrix from the arena.
+func (t *Tape) value(n *Node, rows, cols int) *tensor.Matrix {
+	n.val = tensor.Matrix{Rows: rows, Cols: cols, Data: t.floats.alloc(rows * cols)}
+	n.Val = &n.val
+	return n.Val
 }
 
 // Const introduces a matrix that does not require gradients.
 func (t *Tape) Const(m *tensor.Matrix) *Node {
-	return t.record(m, false, nil)
+	n := t.record(opLeaf, false)
+	n.Val = m
+	return n
 }
 
 // ConstVec introduces a 1xN constant row vector view of v.
 func (t *Tape) ConstVec(v tensor.Vec) *Node {
-	return t.Const(&tensor.Matrix{Rows: 1, Cols: len(v), Data: v})
+	n := t.record(opLeaf, false)
+	n.val = tensor.Matrix{Rows: 1, Cols: len(v), Data: v}
+	n.Val = &n.val
+	return n
 }
 
 // Watch introduces a parameter: val is the parameter storage and grad the
@@ -95,8 +201,8 @@ func (t *Tape) Watch(val, grad *tensor.Matrix) *Node {
 	if val.Rows != grad.Rows || val.Cols != grad.Cols {
 		panic("ad: Watch value/grad shape mismatch")
 	}
-	n := t.record(val, true, nil)
-	n.Grad = grad
+	n := t.record(opLeaf, true)
+	n.Val, n.Grad = val, grad
 	return n
 }
 
@@ -112,11 +218,241 @@ func (t *Tape) Backward(root *Node) {
 		panic(fmt.Sprintf("ad: Backward root must be scalar, got %dx%d", root.Val.Rows, root.Val.Cols))
 	}
 	root.ensureGrad().Data[0] = 1
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		n := t.nodes[i]
-		if n.back != nil && n.Grad != nil && n.needsGrad {
-			n.back()
+	for c := len(t.nodes.chunks) - 1; c >= 0; c-- {
+		ch := &t.nodes.chunks[c]
+		for i := ch.fill - 1; i >= 0; i-- {
+			n := &ch.data[i]
+			if n.op != opLeaf && n.Grad != nil && n.needsGrad {
+				t.backward(n)
+			}
 		}
+	}
+}
+
+// backward propagates out.Grad into out's operands according to out.op.
+func (t *Tape) backward(out *Node) {
+	a, b := out.a, out.b
+	switch out.op {
+	case opAdd:
+		if a.needsGrad {
+			g := a.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] += out.Grad.Data[i]
+			}
+		}
+		if b.needsGrad {
+			g := b.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] += out.Grad.Data[i]
+			}
+		}
+	case opSub:
+		if a.needsGrad {
+			g := a.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] += out.Grad.Data[i]
+			}
+		}
+		if b.needsGrad {
+			g := b.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] -= out.Grad.Data[i]
+			}
+		}
+	case opMul:
+		if a.needsGrad {
+			g := a.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] += out.Grad.Data[i] * b.Val.Data[i]
+			}
+		}
+		if b.needsGrad {
+			g := b.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] += out.Grad.Data[i] * a.Val.Data[i]
+			}
+		}
+	case opDiv:
+		// The guarded denominators are recomputed from b's immutable
+		// value rather than stored.
+		if a.needsGrad {
+			g := a.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] += out.Grad.Data[i] / guardDenom(b.Val.Data[i])
+			}
+		}
+		if b.needsGrad {
+			g := b.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] -= out.Grad.Data[i] * out.Val.Data[i] / guardDenom(b.Val.Data[i])
+			}
+		}
+	case opScale:
+		if a.needsGrad {
+			g := a.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] += out.alpha * out.Grad.Data[i]
+			}
+		}
+	case opMatMul:
+		if a.needsGrad {
+			tensor.GemmAcc(a.ensureGrad(), out.Grad, b.Val, false, true)
+		}
+		if b.needsGrad {
+			tensor.GemmAcc(b.ensureGrad(), a.Val, out.Grad, true, false)
+		}
+	case opAddBias:
+		if a.needsGrad {
+			g := a.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] += out.Grad.Data[i]
+			}
+		}
+		if b.needsGrad {
+			g := b.ensureGrad()
+			for i := 0; i < out.Rows(); i++ {
+				row := out.Grad.Row(i)
+				for j := range row {
+					g.Data[j] += row[j]
+				}
+			}
+		}
+	case opConcatCols:
+		rows := out.Rows()
+		off := 0
+		for _, n := range t.refs[out.aux : out.aux+out.naux] {
+			if n.needsGrad {
+				g := n.ensureGrad()
+				for i := 0; i < rows; i++ {
+					grow := out.Grad.Row(i)[off : off+n.Cols()]
+					dst := g.Row(i)
+					for j := range dst {
+						dst[j] += grow[j]
+					}
+				}
+			}
+			off += n.Cols()
+		}
+	case opConcatRows:
+		cols := out.Cols()
+		off := 0
+		for _, n := range t.refs[out.aux : out.aux+out.naux] {
+			if n.needsGrad {
+				g := n.ensureGrad()
+				src := out.Grad.Data[off*cols : (off+n.Rows())*cols]
+				for i := range g.Data {
+					g.Data[i] += src[i]
+				}
+			}
+			off += n.Rows()
+		}
+	case opSliceRows:
+		if a.needsGrad {
+			cols := out.Cols()
+			g := a.ensureGrad()
+			lo := int(out.aux)
+			dst := g.Data[lo*cols : (lo+out.Rows())*cols]
+			for i := range out.Grad.Data {
+				dst[i] += out.Grad.Data[i]
+			}
+		}
+	case opSoftmaxRows:
+		if !a.needsGrad {
+			return
+		}
+		g := a.ensureGrad()
+		for i := 0; i < a.Rows(); i++ {
+			y := out.Val.Row(i)
+			dy := out.Grad.Row(i)
+			var dot float64
+			for j := range y {
+				dot += float64(y[j]) * float64(dy[j])
+			}
+			dst := g.Row(i)
+			for j := range y {
+				dst[j] += y[j] * (dy[j] - float32(dot))
+			}
+		}
+	case opSigmoid, opTanh, opReLU, opLeakyReLU, opSqrt:
+		if !a.needsGrad {
+			return
+		}
+		g := a.ensureGrad()
+		for i := range g.Data {
+			g.Data[i] += out.Grad.Data[i] * unaryDeriv(out, a.Val.Data[i], out.Val.Data[i])
+		}
+	case opSumAll:
+		if !a.needsGrad {
+			return
+		}
+		g := a.ensureGrad()
+		d := out.Grad.Data[0]
+		for i := range g.Data {
+			g.Data[i] += d
+		}
+	case opMeanRows:
+		if !a.needsGrad {
+			return
+		}
+		g := a.ensureGrad()
+		for i := 0; i < a.Rows(); i++ {
+			dst := g.Row(i)
+			for j := range dst {
+				dst[j] += out.Grad.Data[j] * out.alpha
+			}
+		}
+	case opBCE:
+		if !a.needsGrad {
+			return
+		}
+		g := a.ensureGrad()
+		targets := t.wide[out.aux : out.aux+out.naux]
+		scale := out.Grad.Data[0] / float32(len(targets))
+		for i, x := range a.Val.Data {
+			g.Data[i] += scale * (tensor.Sigmoid(x) - float32(targets[i]))
+		}
+	case opFocalBCE:
+		if !a.needsGrad {
+			return
+		}
+		g := a.ensureGrad()
+		grads := t.wide[out.aux : out.aux+out.naux]
+		scale := float64(out.Grad.Data[0]) / float64(len(grads))
+		for i := range grads {
+			g.Data[i] += float32(scale * grads[i])
+		}
+	case opTranspose:
+		if !a.needsGrad {
+			return
+		}
+		g := a.ensureGrad()
+		for i := 0; i < out.Grad.Rows; i++ {
+			for j := 0; j < out.Grad.Cols; j++ {
+				g.Data[j*g.Cols+i] += out.Grad.Data[i*out.Grad.Cols+j]
+			}
+		}
+	case opScaleBy:
+		// a is the 1x1 scalar, b the scaled matrix.
+		if b.needsGrad {
+			g := b.ensureGrad()
+			for i := range g.Data {
+				g.Data[i] += out.alpha * out.Grad.Data[i]
+			}
+		}
+		if a.needsGrad {
+			var acc float64
+			for i, v := range b.Val.Data {
+				acc += float64(v) * float64(out.Grad.Data[i])
+			}
+			a.ensureGrad().Data[0] += float32(acc)
+		}
+	case opGather:
+		rec := t.gathers[out.aux]
+		rec.sink.AccumulateRows(t.ids[rec.ids:rec.ids+out.naux], out.Grad)
+	case opCustom:
+		t.customs[out.aux](out)
+	default:
+		panic(fmt.Sprintf("ad: backward of unknown op %d", out.op))
 	}
 }
 
@@ -135,77 +471,38 @@ func sameShape(a, b *Node) {
 	}
 }
 
+// binary records an element-wise op over same-shape a and b and returns
+// the node with its zeroed value matrix.
+func (t *Tape) binary(o op, a, b *Node) (*Node, *tensor.Matrix) {
+	sameShape(a, b)
+	out := t.record(o, anyNeedsGrad(a, b))
+	out.a, out.b = a, b
+	return out, t.value(out, a.Rows(), a.Cols())
+}
+
 // Add returns a + b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
-	sameShape(a, b)
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
+	out, val := t.binary(opAdd, a, b)
 	for i := range val.Data {
 		val.Data[i] = a.Val.Data[i] + b.Val.Data[i]
-	}
-	out := t.record(val, anyNeedsGrad(a, b), nil)
-	out.back = func() {
-		if a.needsGrad {
-			g := a.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i]
-			}
-		}
-		if b.needsGrad {
-			g := b.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i]
-			}
-		}
 	}
 	return out
 }
 
 // Sub returns a - b (same shape).
 func (t *Tape) Sub(a, b *Node) *Node {
-	sameShape(a, b)
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
+	out, val := t.binary(opSub, a, b)
 	for i := range val.Data {
 		val.Data[i] = a.Val.Data[i] - b.Val.Data[i]
-	}
-	out := t.record(val, anyNeedsGrad(a, b), nil)
-	out.back = func() {
-		if a.needsGrad {
-			g := a.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i]
-			}
-		}
-		if b.needsGrad {
-			g := b.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] -= out.Grad.Data[i]
-			}
-		}
 	}
 	return out
 }
 
 // Mul returns the element-wise product a * b (same shape).
 func (t *Tape) Mul(a, b *Node) *Node {
-	sameShape(a, b)
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
+	out, val := t.binary(opMul, a, b)
 	for i := range val.Data {
 		val.Data[i] = a.Val.Data[i] * b.Val.Data[i]
-	}
-	out := t.record(val, anyNeedsGrad(a, b), nil)
-	out.back = func() {
-		if a.needsGrad {
-			g := a.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i] * b.Val.Data[i]
-			}
-		}
-		if b.needsGrad {
-			g := b.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i] * a.Val.Data[i]
-			}
-		}
 	}
 	return out
 }
@@ -226,61 +523,38 @@ func guardDenom(v float32) float32 {
 
 // Div returns element-wise a / b with epsilon-guarded denominators.
 func (t *Tape) Div(a, b *Node) *Node {
-	sameShape(a, b)
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
-	den := make([]float32, len(val.Data))
+	out, val := t.binary(opDiv, a, b)
 	for i := range val.Data {
-		den[i] = guardDenom(b.Val.Data[i])
-		val.Data[i] = a.Val.Data[i] / den[i]
-	}
-	out := t.record(val, anyNeedsGrad(a, b), nil)
-	out.back = func() {
-		if a.needsGrad {
-			g := a.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i] / den[i]
-			}
-		}
-		if b.needsGrad {
-			g := b.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] -= out.Grad.Data[i] * val.Data[i] / den[i]
-			}
-		}
+		val.Data[i] = a.Val.Data[i] / guardDenom(b.Val.Data[i])
 	}
 	return out
 }
 
+// unary records a one-operand op over a with an a-shaped value matrix.
+func (t *Tape) unary(o op, a *Node) (*Node, *tensor.Matrix) {
+	out := t.record(o, a.needsGrad)
+	out.a = a
+	return out, t.value(out, a.Rows(), a.Cols())
+}
+
 // Scale returns alpha * a.
 func (t *Tape) Scale(alpha float32, a *Node) *Node {
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
+	out, val := t.unary(opScale, a)
+	out.alpha = alpha
 	for i := range val.Data {
 		val.Data[i] = alpha * a.Val.Data[i]
-	}
-	out := t.record(val, a.needsGrad, nil)
-	out.back = func() {
-		if a.needsGrad {
-			g := a.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += alpha * out.Grad.Data[i]
-			}
-		}
 	}
 	return out
 }
 
 // MatMul returns a · b.
 func (t *Tape) MatMul(a, b *Node) *Node {
-	val := tensor.MatMul(a.Val, b.Val)
-	out := t.record(val, anyNeedsGrad(a, b), nil)
-	out.back = func() {
-		if a.needsGrad {
-			tensor.GemmAcc(a.ensureGrad(), out.Grad, b.Val, false, true)
-		}
-		if b.needsGrad {
-			tensor.GemmAcc(b.ensureGrad(), a.Val, out.Grad, true, false)
-		}
+	if a.Cols() != b.Rows() {
+		panic(fmt.Sprintf("ad: MatMul shape mismatch (%dx%d)·(%dx%d)", a.Rows(), a.Cols(), b.Rows(), b.Cols()))
 	}
+	out := t.record(opMatMul, anyNeedsGrad(a, b))
+	out.a, out.b = a, b
+	tensor.GemmAcc(t.value(out, a.Rows(), b.Cols()), a.Val, b.Val, false, false)
 	return out
 }
 
@@ -289,7 +563,9 @@ func (t *Tape) AddBias(m, bias *Node) *Node {
 	if bias.Rows() != 1 || bias.Cols() != m.Cols() {
 		panic(fmt.Sprintf("ad: AddBias bias shape %dx%d for matrix %dx%d", bias.Rows(), bias.Cols(), m.Rows(), m.Cols()))
 	}
-	val := tensor.NewMatrix(m.Rows(), m.Cols())
+	out := t.record(opAddBias, anyNeedsGrad(m, bias))
+	out.a, out.b = m, bias
+	val := t.value(out, m.Rows(), m.Cols())
 	for i := 0; i < m.Rows(); i++ {
 		row := m.Val.Row(i)
 		orow := val.Row(i)
@@ -297,24 +573,15 @@ func (t *Tape) AddBias(m, bias *Node) *Node {
 			orow[j] = row[j] + bias.Val.Data[j]
 		}
 	}
-	out := t.record(val, anyNeedsGrad(m, bias), nil)
-	out.back = func() {
-		if m.needsGrad {
-			g := m.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += out.Grad.Data[i]
-			}
-		}
-		if bias.needsGrad {
-			g := bias.ensureGrad()
-			for i := 0; i < out.Rows(); i++ {
-				row := out.Grad.Row(i)
-				for j := range row {
-					g.Data[j] += row[j]
-				}
-			}
-		}
-	}
+	return out
+}
+
+// concat records a ConcatCols/ConcatRows node, copying the operand list
+// into the arena so the caller's slice is not retained.
+func (t *Tape) concat(o op, nodes []*Node) *Node {
+	out := t.record(o, anyNeedsGrad(nodes...))
+	out.aux, out.naux = int32(len(t.refs)), int32(len(nodes))
+	t.refs = append(t.refs, nodes...)
 	return out
 }
 
@@ -331,30 +598,14 @@ func (t *Tape) ConcatCols(nodes ...*Node) *Node {
 		}
 		total += n.Cols()
 	}
-	val := tensor.NewMatrix(rows, total)
+	out := t.concat(opConcatCols, nodes)
+	val := t.value(out, rows, total)
 	off := 0
 	for _, n := range nodes {
 		for i := 0; i < rows; i++ {
 			copy(val.Row(i)[off:off+n.Cols()], n.Val.Row(i))
 		}
 		off += n.Cols()
-	}
-	out := t.record(val, anyNeedsGrad(nodes...), nil)
-	out.back = func() {
-		off := 0
-		for _, n := range nodes {
-			if n.needsGrad {
-				g := n.ensureGrad()
-				for i := 0; i < rows; i++ {
-					grow := out.Grad.Row(i)[off : off+n.Cols()]
-					dst := g.Row(i)
-					for j := range dst {
-						dst[j] += grow[j]
-					}
-				}
-			}
-			off += n.Cols()
-		}
 	}
 	return out
 }
@@ -372,25 +623,12 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 		}
 		total += n.Rows()
 	}
-	val := tensor.NewMatrix(total, cols)
+	out := t.concat(opConcatRows, nodes)
+	val := t.value(out, total, cols)
 	off := 0
 	for _, n := range nodes {
 		copy(val.Data[off*cols:], n.Val.Data)
 		off += n.Rows()
-	}
-	out := t.record(val, anyNeedsGrad(nodes...), nil)
-	out.back = func() {
-		off := 0
-		for _, n := range nodes {
-			if n.needsGrad {
-				g := n.ensureGrad()
-				src := out.Grad.Data[off*cols : (off+n.Rows())*cols]
-				for i := range g.Data {
-					g.Data[i] += src[i]
-				}
-			}
-			off += n.Rows()
-		}
 	}
 	return out
 }
@@ -401,126 +639,108 @@ func (t *Tape) SliceRows(m *Node, lo, hi int) *Node {
 		panic(fmt.Sprintf("ad: SliceRows [%d,%d) of %d rows", lo, hi, m.Rows()))
 	}
 	cols := m.Cols()
-	val := tensor.NewMatrix(hi-lo, cols)
-	copy(val.Data, m.Val.Data[lo*cols:hi*cols])
-	out := t.record(val, m.needsGrad, nil)
-	out.back = func() {
-		if m.needsGrad {
-			g := m.ensureGrad()
-			dst := g.Data[lo*cols : hi*cols]
-			for i := range out.Grad.Data {
-				dst[i] += out.Grad.Data[i]
-			}
-		}
-	}
+	out := t.record(opSliceRows, m.needsGrad)
+	out.a, out.aux = m, int32(lo)
+	copy(t.value(out, hi-lo, cols).Data, m.Val.Data[lo*cols:hi*cols])
 	return out
 }
 
 // SoftmaxRows applies softmax independently to each row.
 func (t *Tape) SoftmaxRows(m *Node) *Node {
-	val := tensor.NewMatrix(m.Rows(), m.Cols())
+	out, val := t.unary(opSoftmaxRows, m)
 	for i := 0; i < m.Rows(); i++ {
 		tensor.Softmax(m.Val.Row(i), val.Row(i))
-	}
-	out := t.record(val, m.needsGrad, nil)
-	out.back = func() {
-		if !m.needsGrad {
-			return
-		}
-		g := m.ensureGrad()
-		for i := 0; i < m.Rows(); i++ {
-			y := val.Row(i)
-			dy := out.Grad.Row(i)
-			var dot float64
-			for j := range y {
-				dot += float64(y[j]) * float64(dy[j])
-			}
-			dst := g.Row(i)
-			for j := range y {
-				dst[j] += y[j] * (dy[j] - float32(dot))
-			}
-		}
 	}
 	return out
 }
 
-func (t *Tape) unary(a *Node, f func(float32) float32, df func(x, y float32) float32) *Node {
-	val := tensor.NewMatrix(a.Rows(), a.Cols())
-	for i, x := range a.Val.Data {
-		val.Data[i] = f(x)
-	}
-	out := t.record(val, a.needsGrad, nil)
-	out.back = func() {
-		if !a.needsGrad {
-			return
+// unaryDeriv is d(out)/d(x) of out's element-wise activation at input x
+// with output y.
+func unaryDeriv(out *Node, x, y float32) float32 {
+	switch out.op {
+	case opSigmoid:
+		return y * (1 - y)
+	case opTanh:
+		return 1 - y*y
+	case opReLU:
+		if x > 0 {
+			return 1
 		}
-		g := a.ensureGrad()
-		for i := range g.Data {
-			g.Data[i] += out.Grad.Data[i] * df(a.Val.Data[i], val.Data[i])
+		return 0
+	case opLeakyReLU:
+		if x > 0 {
+			return 1
 		}
+		return out.alpha
+	default: // opSqrt
+		return 1 / (2 * y)
 	}
-	return out
 }
 
 // Sigmoid applies the logistic function element-wise.
 func (t *Tape) Sigmoid(a *Node) *Node {
-	return t.unary(a, tensor.Sigmoid, func(_, y float32) float32 { return y * (1 - y) })
+	out, val := t.unary(opSigmoid, a)
+	for i, x := range a.Val.Data {
+		val.Data[i] = tensor.Sigmoid(x)
+	}
+	return out
 }
 
 // Tanh applies tanh element-wise.
 func (t *Tape) Tanh(a *Node) *Node {
-	return t.unary(a,
-		func(x float32) float32 { return float32(math.Tanh(float64(x))) },
-		func(_, y float32) float32 { return 1 - y*y })
+	out, val := t.unary(opTanh, a)
+	for i, x := range a.Val.Data {
+		val.Data[i] = float32(math.Tanh(float64(x)))
+	}
+	return out
 }
 
 // ReLU applies max(0, x) element-wise.
 func (t *Tape) ReLU(a *Node) *Node {
-	return t.unary(a,
-		func(x float32) float32 {
-			if x > 0 {
-				return x
-			}
-			return 0
-		},
-		func(x, _ float32) float32 {
-			if x > 0 {
-				return 1
-			}
-			return 0
-		})
+	out, val := t.unary(opReLU, a)
+	for i, x := range a.Val.Data {
+		if x > 0 {
+			val.Data[i] = x
+		}
+	}
+	return out
 }
 
 // LeakyReLU applies x>0 ? x : alpha*x element-wise (the GAT/paper
 // attention nonlinearity, conventionally alpha=0.2).
 func (t *Tape) LeakyReLU(alpha float32, a *Node) *Node {
-	return t.unary(a,
-		func(x float32) float32 {
-			if x > 0 {
-				return x
-			}
-			return alpha * x
-		},
-		func(x, _ float32) float32 {
-			if x > 0 {
-				return 1
-			}
-			return alpha
-		})
+	out, val := t.unary(opLeakyReLU, a)
+	out.alpha = alpha
+	for i, x := range a.Val.Data {
+		if x > 0 {
+			val.Data[i] = x
+		} else {
+			val.Data[i] = alpha * x
+		}
+	}
+	return out
 }
 
 // Sqrt applies sqrt(max(x, 0) + eps) element-wise; the epsilon keeps the
 // derivative finite at zero, which matters for norm computations.
 func (t *Tape) Sqrt(a *Node) *Node {
 	const eps = 1e-12
-	return t.unary(a,
-		func(x float32) float32 {
-			if x < 0 {
-				x = 0
-			}
-			return float32(math.Sqrt(float64(x) + eps))
-		},
-		func(_, y float32) float32 { return 1 / (2 * y) })
+	out, val := t.unary(opSqrt, a)
+	for i, x := range a.Val.Data {
+		if x < 0 {
+			x = 0
+		}
+		val.Data[i] = float32(math.Sqrt(float64(x) + eps))
+	}
+	return out
+}
+
+// scalar records a 1x1 reduction of a holding v.
+func (t *Tape) scalar(o op, a *Node, v float32) *Node {
+	out := t.record(o, a.needsGrad)
+	out.a = a
+	t.value(out, 1, 1).Data[0] = v
+	return out
 }
 
 // SumAll reduces to a 1x1 scalar node holding the sum of all elements.
@@ -529,20 +749,7 @@ func (t *Tape) SumAll(a *Node) *Node {
 	for _, v := range a.Val.Data {
 		s += float64(v)
 	}
-	val := tensor.NewMatrix(1, 1)
-	val.Data[0] = float32(s)
-	out := t.record(val, a.needsGrad, nil)
-	out.back = func() {
-		if !a.needsGrad {
-			return
-		}
-		g := a.ensureGrad()
-		d := out.Grad.Data[0]
-		for i := range g.Data {
-			g.Data[i] += d
-		}
-	}
-	return out
+	return t.scalar(opSumAll, a, float32(s))
 }
 
 // MeanAll reduces to a 1x1 scalar node holding the mean of all elements.
@@ -559,29 +766,18 @@ func (t *Tape) MeanRows(a *Node) *Node {
 	if a.Rows() == 0 {
 		panic("ad: MeanRows of empty node")
 	}
-	val := tensor.NewMatrix(1, a.Cols())
+	out := t.record(opMeanRows, a.needsGrad)
+	out.a = a
+	val := t.value(out, 1, a.Cols())
 	for i := 0; i < a.Rows(); i++ {
 		row := a.Val.Row(i)
 		for j, v := range row {
 			val.Data[j] += v
 		}
 	}
-	inv := 1 / float32(a.Rows())
+	out.alpha = 1 / float32(a.Rows())
 	for j := range val.Data {
-		val.Data[j] *= inv
-	}
-	out := t.record(val, a.needsGrad, nil)
-	out.back = func() {
-		if !a.needsGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i := 0; i < a.Rows(); i++ {
-			dst := g.Row(i)
-			for j := range dst {
-				dst[j] += out.Grad.Data[j] * inv
-			}
-		}
+		val.Data[j] *= out.alpha
 	}
 	return out
 }
@@ -604,14 +800,32 @@ func (t *Tape) CosineSim(a, b *Node) *Node {
 	return t.Div(t.Dot(a, b), t.Mul(t.Norm(a), t.Norm(b)))
 }
 
+// Gather returns the len(ids) x table.Cols node of table's rows ids, the
+// embedding lookup. The tape copies both the rows and the ids, so neither
+// argument is retained. With a non-nil sink the node needs gradients, and
+// Backward hands its gradient to sink.AccumulateRows.
+func (t *Tape) Gather(table *tensor.Matrix, ids []int32, sink GradSink) *Node {
+	out := t.record(opGather, sink != nil)
+	out.aux, out.naux = int32(len(t.gathers)), int32(len(ids))
+	t.gathers = append(t.gathers, gather{sink: sink, ids: int32(len(t.ids))})
+	t.ids = append(t.ids, ids...)
+	val := t.value(out, len(ids), table.Cols)
+	for i, id := range ids {
+		copy(val.Row(i), table.Row(int(id)))
+	}
+	return out
+}
+
 // Custom introduces a node with a caller-provided value and backward
-// closure, for operations with bespoke gradient handling (notably sparse
-// embedding lookups in package nn). The closure receives the output node
-// and must accumulate into the inputs it closed over.
+// closure, for operations with bespoke gradient handling. The closure
+// receives the output node and must accumulate into the inputs it closed
+// over. Unlike the built-in ops it costs the caller a closure per node.
 func (t *Tape) Custom(val *tensor.Matrix, needsGrad bool, back func(out *Node)) *Node {
-	out := t.record(val, needsGrad, nil)
+	out := t.record(opLeaf, needsGrad)
+	out.Val = val
 	if back != nil {
-		out.back = func() { back(out) }
+		out.op, out.aux = opCustom, int32(len(t.customs))
+		t.customs = append(t.customs, back)
 	}
 	return out
 }
@@ -635,18 +849,10 @@ func (t *Tape) BCEWithLogits(logits *Node, targets []float32) *Node {
 		// max(x,0) - x*z + log(1+exp(-|x|))
 		loss += math.Max(x, 0) - x*z + math.Log1p(math.Exp(-math.Abs(x)))
 	}
-	val := tensor.NewMatrix(1, 1)
-	val.Data[0] = float32(loss / float64(n))
-	out := t.record(val, logits.needsGrad, nil)
-	out.back = func() {
-		if !logits.needsGrad {
-			return
-		}
-		g := logits.ensureGrad()
-		scale := out.Grad.Data[0] / float32(n)
-		for i, x := range logits.Val.Data {
-			g.Data[i] += scale * (tensor.Sigmoid(x) - targets[i])
-		}
+	out := t.scalar(opBCE, logits, float32(loss/float64(n)))
+	out.aux, out.naux = int32(len(t.wide)), int32(n)
+	for _, z := range targets {
+		t.wide = append(t.wide, float64(z))
 	}
 	return out
 }
@@ -668,7 +874,9 @@ func (t *Tape) FocalBCEWithLogits(logits *Node, targets []float32, gamma float64
 	}
 	const eps = 1e-9
 	var loss float64
-	grads := make([]float64, n)
+	off := len(t.wide)
+	t.wide = append(t.wide, make([]float64, n)...)
+	grads := t.wide[off:]
 	for i, x64 := range logits.Val.Data {
 		x := float64(x64)
 		z := float64(targets[i])
@@ -683,35 +891,19 @@ func (t *Tape) FocalBCEWithLogits(logits *Node, targets []float32, gamma float64
 		dneg := -(1 - z) * (gamma*math.Pow(p, gamma-1)*logQ - math.Pow(p, gamma)/q)
 		grads[i] = (dpos + dneg) * p * q // chain through dp/dx = p(1-p)
 	}
-	val := tensor.NewMatrix(1, 1)
-	val.Data[0] = float32(loss / float64(n))
-	out := t.record(val, logits.needsGrad, nil)
-	out.back = func() {
-		if !logits.needsGrad {
-			return
-		}
-		g := logits.ensureGrad()
-		scale := float64(out.Grad.Data[0]) / float64(n)
-		for i := range grads {
-			g.Data[i] += float32(scale * grads[i])
-		}
-	}
+	out := t.scalar(opFocalBCE, logits, float32(loss/float64(n)))
+	out.aux, out.naux = int32(off), int32(n)
 	return out
 }
 
 // Transpose returns aᵀ.
 func (t *Tape) Transpose(a *Node) *Node {
-	val := tensor.Transpose(a.Val)
-	out := t.record(val, a.needsGrad, nil)
-	out.back = func() {
-		if !a.needsGrad {
-			return
-		}
-		g := a.ensureGrad()
-		for i := 0; i < out.Grad.Rows; i++ {
-			for j := 0; j < out.Grad.Cols; j++ {
-				g.Data[j*g.Cols+i] += out.Grad.Data[i*out.Grad.Cols+j]
-			}
+	out := t.record(opTranspose, a.needsGrad)
+	out.a = a
+	val := t.value(out, a.Cols(), a.Rows())
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			val.Data[j*val.Cols+i] = a.Val.Data[i*a.Cols()+j]
 		}
 	}
 	return out
@@ -725,25 +917,11 @@ func (t *Tape) ScaleBy(scalar, m *Node) *Node {
 		panic("ad: ScaleBy needs a 1x1 scalar node")
 	}
 	s := scalar.Val.Data[0]
-	val := tensor.NewMatrix(m.Rows(), m.Cols())
+	out := t.record(opScaleBy, anyNeedsGrad(scalar, m))
+	out.a, out.b, out.alpha = scalar, m, s
+	val := t.value(out, m.Rows(), m.Cols())
 	for i, v := range m.Val.Data {
 		val.Data[i] = s * v
-	}
-	out := t.record(val, anyNeedsGrad(scalar, m), nil)
-	out.back = func() {
-		if m.needsGrad {
-			g := m.ensureGrad()
-			for i := range g.Data {
-				g.Data[i] += s * out.Grad.Data[i]
-			}
-		}
-		if scalar.needsGrad {
-			var acc float64
-			for i, v := range m.Val.Data {
-				acc += float64(v) * float64(out.Grad.Data[i])
-			}
-			scalar.ensureGrad().Data[0] += float32(acc)
-		}
 	}
 	return out
 }

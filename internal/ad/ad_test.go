@@ -8,8 +8,14 @@ import (
 	"zoomer/internal/tensor"
 )
 
+// reusedTape is shared by every checkGrad call and reset before each, so
+// every case also runs on an arena the cases before it left dirty.
+var reusedTape = NewTape()
+
 // checkGrad verifies the analytic gradient of loss(param) against central
-// finite differences for a parameter of the given shape.
+// finite differences for a parameter of the given shape. It also replays
+// the case on reusedTape, which must give the same loss and gradient bit
+// for bit as the fresh tape.
 func checkGrad(t *testing.T, name string, rows, cols int, seed uint64,
 	loss func(tp *Tape, p *Node) *Node) {
 	t.Helper()
@@ -23,6 +29,19 @@ func checkGrad(t *testing.T, name string, rows, cols int, seed uint64,
 	tp := NewTape()
 	out := loss(tp, tp.Watch(param, grad))
 	tp.Backward(out)
+
+	reusedTape.Reset()
+	rgrad := tensor.NewMatrix(rows, cols)
+	rout := loss(reusedTape, reusedTape.Watch(param, rgrad))
+	reusedTape.Backward(rout)
+	if math.Float32bits(rout.Scalar()) != math.Float32bits(out.Scalar()) {
+		t.Fatalf("%s: loss %v on a reset tape, %v on a fresh one", name, rout.Scalar(), out.Scalar())
+	}
+	for i := range grad.Data {
+		if math.Float32bits(rgrad.Data[i]) != math.Float32bits(grad.Data[i]) {
+			t.Fatalf("%s: grad[%d] = %v on a reset tape, %v on a fresh one", name, i, rgrad.Data[i], grad.Data[i])
+		}
+	}
 
 	eval := func() float64 {
 		tp := NewTape()

@@ -296,8 +296,13 @@ func TestInstancesFromExamples(t *testing.T) {
 	}
 }
 
-func BenchmarkZoomerStep(b *testing.B) {
-	w := buildTinyWorld(b, 12)
+// zoomerStep returns a training step of Zoomer on the tiny world, the
+// loop body of core.Train: it resets one tape, runs the forward pass and
+// the focal loss, backpropagates and applies the optimizer. The first
+// call sizes the tape's arena and the optimizer state; later calls are
+// the steady state.
+func zoomerStep(t testing.TB) func() {
+	w := buildTinyWorld(t, 12)
 	z := NewZoomer(w.res.Graph, w.logs.Vocab(), tinyModelConfig(), 15)
 	r := rng.New(1)
 	opt := newModelOptimizer(z, 0.01)
@@ -306,11 +311,32 @@ func BenchmarkZoomerStep(b *testing.B) {
 	for i, ex := range batch {
 		targets[i] = ex.Label
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tp := ad.NewTape()
+	tp := ad.NewTape()
+	return func() {
+		tp.Reset()
 		logits := z.Logits(tp, batch, r)
 		tp.Backward(tp.FocalBCEWithLogits(logits, targets, 2))
 		opt.step()
+	}
+}
+
+func BenchmarkZoomerStep(b *testing.B) {
+	step := zoomerStep(b)
+	step() // size the tape's arena and the optimizer state
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestZoomerStepAllocs pins the steady-state step of BenchmarkZoomerStep
+// at a tenth of the 22,894 allocs/op it took when every step built a
+// fresh tape and every op allocated its node, matrices and closure.
+func TestZoomerStepAllocs(t *testing.T) {
+	const bound = 2289
+	step := zoomerStep(t)
+	step()
+	if got := testing.AllocsPerRun(20, step); got > bound {
+		t.Fatalf("steady-state Zoomer step: %.0f allocs/op, want <= %d", got, bound)
 	}
 }

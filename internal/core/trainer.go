@@ -87,6 +87,10 @@ func Train(m Model, train, test []Instance, cfg TrainConfig) TrainResult {
 	data := append([]Instance(nil), train...)
 
 	opt := newModelOptimizer(m, cfg.LR)
+	// One tape serves every step: Reset rewinds its arena, so a
+	// steady-state step allocates almost nothing.
+	t := ad.NewTape()
+	targets := make([]float32, 0, cfg.BatchSize)
 
 loop:
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -102,11 +106,11 @@ loop:
 				break
 			}
 			batch := data[lo:hi]
-			t := ad.NewTape()
+			t.Reset()
 			logits := m.Logits(t, batch, sampleRNG)
-			targets := make([]float32, len(batch))
-			for i, ex := range batch {
-				targets[i] = ex.Label
+			targets = targets[:0]
+			for _, ex := range batch {
+				targets = append(targets, ex.Label)
 			}
 			var loss *ad.Node
 			if cfg.FocalGamma >= 0 {
@@ -188,12 +192,13 @@ func EvalAUC(m Model, instances []Instance, batchSize int, r *rng.RNG) float64 {
 	}
 	scores := make([]float64, 0, len(instances))
 	labels := make([]bool, 0, len(instances))
+	t := ad.NewTape()
 	for lo := 0; lo < len(instances); lo += batchSize {
 		hi := lo + batchSize
 		if hi > len(instances) {
 			hi = len(instances)
 		}
-		t := ad.NewTape()
+		t.Reset()
 		logits := m.Logits(t, instances[lo:hi], r)
 		for i, ex := range instances[lo:hi] {
 			scores = append(scores, float64(logits.Val.Data[i]))

@@ -133,12 +133,27 @@ func (z *Zoomer) DenseParams() []*nn.Param {
 // Tables implements Model.
 func (z *Zoomer) Tables() []*nn.EmbeddingTable { return z.fe.Tables() }
 
+// forwardScratch is the reusable storage of the request-side forward
+// passes over one batch: the ROI trees' sampling scratch, the sampling
+// focal vector, and the attention levels' node lists, which the tree
+// recursion uses as a stack.
+type forwardScratch struct {
+	sc    *sampling.Scratch
+	focal tensor.Vec
+	nodes []*ad.Node
+}
+
+func newForwardScratch() *forwardScratch {
+	return &forwardScratch{sc: sampling.NewScratch()}
+}
+
 // samplingFocal is the static focal vector Fc of eq. (5): the sum of the
 // focal points' content features, used to score neighbors during ROI
 // construction (no learned parameters — sampling happens outside the
-// training graph).
-func (z *Zoomer) samplingFocal(u, q graph.NodeID) tensor.Vec {
-	fc := tensor.NewVec(z.g.ContentDim())
+// training graph). It lives in fs until the next call.
+func (z *Zoomer) samplingFocal(u, q graph.NodeID, fs *forwardScratch) tensor.Vec {
+	fs.focal = append(fs.focal[:0], make(tensor.Vec, z.g.ContentDim())...)
+	fc := fs.focal
 	if c := z.g.Content(u); c != nil {
 		tensor.Axpy(1, c, fc)
 	}
@@ -173,18 +188,19 @@ func (z *Zoomer) featureLevel(t *ad.Tape, H, C *ad.Node) *ad.Node {
 // attention over the type's neighbor embeddings. zf is the ego's
 // feature-level embedding, C the focal vector, a the attention vector.
 // With the ablation off it mean-pools the neighbors.
-func (z *Zoomer) edgeLevel(t *ad.Tape, zf, C *ad.Node, nbrs []*ad.Node, a *ad.Node) *ad.Node {
+func (z *Zoomer) edgeLevel(t *ad.Tape, zf, C *ad.Node, nbrs []*ad.Node, a *ad.Node, fs *forwardScratch) *ad.Node {
 	stack := t.ConcatRows(nbrs...)
 	if !z.cfg.UseEdgeAttn {
 		return t.MeanRows(stack)
 	}
-	scores := make([]*ad.Node, len(nbrs))
-	for i, zj := range nbrs {
+	base := len(fs.nodes)
+	for _, zj := range nbrs {
 		cat := t.ConcatCols(zf, zj, C) // [(Z_i ‖ Z_j) ‖ Z_c]
-		scores[i] = t.LeakyReLU(0.2, t.MatMul(cat, a))
+		fs.nodes = append(fs.nodes, t.LeakyReLU(0.2, t.MatMul(cat, a)))
 	}
-	w := t.SoftmaxRows(t.ConcatCols(scores...)) // 1 x m
-	return t.MatMul(w, stack)                   // Σ e_ij · Z_j
+	w := t.SoftmaxRows(t.ConcatCols(fs.nodes[base:]...)) // 1 x m
+	fs.nodes = fs.nodes[:base]
+	return t.MatMul(w, stack) // Σ e_ij · Z_j
 }
 
 // semanticLevel applies eq. (10)–(11): per-type aggregates are combined
@@ -216,28 +232,37 @@ func (z *Zoomer) semanticLevel(t *ad.Tape, zf *ad.Node, perType []*ad.Node) *ad.
 // tree, recursively: leaves contribute their (feature-level) embeddings;
 // interior nodes aggregate children per type with edge attention and
 // combine types semantically, with a residual connection to the ego's own
-// feature embedding.
-func (z *Zoomer) embedTree(t *ad.Tape, tree *sampling.Tree, C, a *ad.Node) *ad.Node {
+// feature embedding. It uses fs.nodes as a stack and leaves it as it
+// found it.
+func (z *Zoomer) embedTree(t *ad.Tape, tree *sampling.Tree, C, a *ad.Node, fs *forwardScratch) *ad.Node {
 	H := z.fe.FeatureMatrix(t, z.g, tree.Node)
 	zf := z.featureLevel(t, H, C)
 	if len(tree.Children) == 0 {
 		return zf
 	}
-	// Group children by neighbor type (eq. 8 normalizes within type).
-	var byType [graph.NumNodeTypes][]*ad.Node
-	for i, child := range tree.Children {
-		emb := z.embedTree(t, child, C, a)
-		nt := z.g.Type(tree.Edges[i].To)
-		byType[nt] = append(byType[nt], emb)
+	// Stack the children's embeddings, then stack them again grouped by
+	// neighbor type (eq. 8 normalizes within type).
+	base := len(fs.nodes)
+	for _, child := range tree.Children {
+		fs.nodes = append(fs.nodes, z.embedTree(t, child, C, a, fs))
 	}
-	var perType []*ad.Node
-	for nt := 0; nt < graph.NumNodeTypes; nt++ {
-		if len(byType[nt]) == 0 {
+	perType := len(fs.nodes)
+	for nt := range graph.NodeType(graph.NumNodeTypes) {
+		group := len(fs.nodes)
+		for i := range tree.Children {
+			if z.g.Type(tree.Edges[i].To) == nt {
+				fs.nodes = append(fs.nodes, fs.nodes[base+i])
+			}
+		}
+		if len(fs.nodes) == group {
 			continue
 		}
-		perType = append(perType, z.edgeLevel(t, zf, C, byType[nt], a))
+		agg := z.edgeLevel(t, zf, C, fs.nodes[group:], a, fs)
+		fs.nodes = append(fs.nodes[:group], agg)
 	}
-	return t.Add(zf, z.semanticLevel(t, zf, perType))
+	out := t.Add(zf, z.semanticLevel(t, zf, fs.nodes[perType:]))
+	fs.nodes = fs.nodes[:base]
+	return out
 }
 
 // itemBase is the base item model of §V-B: feature embedding through the
@@ -248,28 +273,29 @@ func (z *Zoomer) itemBase(t *ad.Tape, item graph.NodeID) *ad.Node {
 }
 
 // uqForward runs the user and query towers for one request and returns
-// the combined user-query vector. sc backs the ROI construction; it is
+// the combined user-query vector. fs backs the ROI construction; it is
 // reset here, so trees from the previous request must no longer be in
 // use.
-func (z *Zoomer) uqForward(t *ad.Tape, u, q graph.NodeID, r *rng.RNG, sc *sampling.Scratch) *ad.Node {
+func (z *Zoomer) uqForward(t *ad.Tape, u, q graph.NodeID, r *rng.RNG, fs *forwardScratch) *ad.Node {
 	C := z.focalVector(t, u, q)
-	fc := z.samplingFocal(u, q)
-	sc.Reset()
-	treeU := sampling.BuildTree(z.g, u, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
-	treeQ := sampling.BuildTree(z.g, q, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, sc)
-	hu := z.embedTree(t, treeU, C, z.attnUser.Node(t))
-	hq := z.embedTree(t, treeQ, C, z.attnQuery.Node(t))
+	fc := z.samplingFocal(u, q, fs)
+	fs.sc.Reset()
+	treeU := sampling.BuildTree(z.g, u, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, fs.sc)
+	treeQ := sampling.BuildTree(z.g, q, fc, z.cfg.Hops, z.cfg.FanOut, z.sampler, r, fs.sc)
+	hu := z.embedTree(t, treeU, C, z.attnUser.Node(t), fs)
+	hq := z.embedTree(t, treeQ, C, z.attnQuery.Node(t), fs)
 	return z.towerUQ.Forward(t, t.ConcatCols(hu, hq))
 }
 
 // Logits implements Model: per-example twin-tower cosine scores scaled
-// into logits. One sampling scratch serves the whole batch, so ROI
-// construction allocates only on the first examples.
+// into logits. One forward scratch serves the whole batch, so ROI
+// construction and the attention levels allocate only on the first
+// examples.
 func (z *Zoomer) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
-	sc := sampling.NewScratch()
+	fs := newForwardScratch()
 	rows := make([]*ad.Node, len(batch))
 	for i, ex := range batch {
-		uq := z.uqForward(t, ex.User, ex.Query, r, sc)
+		uq := z.uqForward(t, ex.User, ex.Query, r, fs)
 		it := z.itemBase(t, ex.Item)
 		rows[i] = t.Scale(z.cfg.LogitScale, t.CosineSim(uq, it))
 	}
@@ -279,7 +305,7 @@ func (z *Zoomer) Logits(t *ad.Tape, batch []Instance, r *rng.RNG) *ad.Node {
 // UserQueryEmbedding implements Model (inference path: forward only).
 func (z *Zoomer) UserQueryEmbedding(u, q graph.NodeID, r *rng.RNG) tensor.Vec {
 	t := ad.NewTape()
-	out := z.uqForward(t, u, q, r, sampling.NewScratch())
+	out := z.uqForward(t, u, q, r, newForwardScratch())
 	return tensor.Copy(out.Val.Row(0))
 }
 

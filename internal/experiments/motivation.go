@@ -18,7 +18,11 @@ import (
 type Fig4aRow struct {
 	Neighbors  int
 	IterPerSec float64
-	AllocMB    float64 // bytes allocated per iteration (memory-pressure proxy)
+	// AllocMB is the MB allocated per iteration, averaged over the run
+	// (memory-pressure proxy). The iterations share one tape, so it is
+	// mostly the tape arena the first iteration sizes to the sampled
+	// neighborhood.
+	AllocMB float64
 }
 
 // Fig4aResult is the Fig. 4(a) series.
@@ -67,8 +71,9 @@ func Fig4a(o Options) Fig4aResult {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
+		t := ad.NewTape()
 		for i := 0; i < iters; i++ {
-			t := ad.NewTape()
+			t.Reset()
 			logits := m.Logits(t, batch, r)
 			t.Backward(t.BCEWithLogits(logits, targets))
 			for _, p := range m.DenseParams() {

@@ -21,9 +21,10 @@ func trainAndEval(o Options, m core.Model, w *world) (auc float64, pred, target 
 	auc = res.TestAUC
 	r := rng.New(o.Seed + 55)
 	batch := 64
+	t := ad.NewTape()
 	for lo := 0; lo < len(w.test); lo += batch {
 		hi := min(lo+batch, len(w.test))
-		t := ad.NewTape()
+		t.Reset()
 		logits := m.Logits(t, w.test[lo:hi], r)
 		for i, ex := range w.test[lo:hi] {
 			pred = append(pred, float64(tensor.Sigmoid(logits.Val.Data[i])))

@@ -160,10 +160,19 @@ type EmbeddingTable struct {
 	Dim  int
 	rows *tensor.Matrix
 
-	grads map[int32][]float32
-	// Per-row Adam moments, lazily allocated.
-	adamM, adamV map[int32][]float32
-	adamT        int
+	// Pending sparse gradients live in reusable slot storage: slot s holds
+	// the gradient of row gradIDs[s] in gradBuf[s*Dim:(s+1)*Dim], and
+	// gradSlot[id] is s+1 (0 while the row has none). Clearing empties
+	// the slots in place and keeps their storage for the next step.
+	gradSlot []int32
+	gradIDs  []int32
+	gradBuf  []float32
+
+	// Per-row Adam moments, allocated on a row's first update: adamSlot[id]
+	// is s+1 for the row whose m and v are adamBuf[2*s*Dim:(2*s+2)*Dim].
+	adamSlot []int32
+	adamBuf  []float32
+	adamT    int
 }
 
 // NewEmbeddingTable creates a table of vocab rows of width dim,
@@ -173,10 +182,9 @@ func NewEmbeddingTable(name string, vocab, dim int, r *rng.RNG) *EmbeddingTable 
 		panic("nn: embedding table needs positive vocab and dim")
 	}
 	e := &EmbeddingTable{
-		Name:  name,
-		Dim:   dim,
-		rows:  tensor.NewMatrix(vocab, dim),
-		grads: make(map[int32][]float32),
+		Name: name,
+		Dim:  dim,
+		rows: tensor.NewMatrix(vocab, dim),
 	}
 	limit := float32(1 / math.Sqrt(float64(dim)))
 	for i := range e.rows.Data {
@@ -193,27 +201,9 @@ func (e *EmbeddingTable) Vocab() int { return e.rows.Rows }
 func (e *EmbeddingTable) Row(id int32) tensor.Vec { return e.rows.Row(int(id)) }
 
 // Lookup gathers the rows for ids into a len(ids) x Dim node. Gradients
-// scatter back into the table's sparse gradient map.
+// scatter back into the table's sparse gradient slots.
 func (e *EmbeddingTable) Lookup(t *ad.Tape, ids []int32) *ad.Node {
-	val := tensor.NewMatrix(len(ids), e.Dim)
-	for i, id := range ids {
-		copy(val.Row(i), e.rows.Row(int(id)))
-	}
-	idsCopy := make([]int32, len(ids))
-	copy(idsCopy, ids)
-	return t.Custom(val, true, func(out *ad.Node) {
-		for i, id := range idsCopy {
-			g, ok := e.grads[id]
-			if !ok {
-				g = make([]float32, e.Dim)
-				e.grads[id] = g
-			}
-			src := out.Grad.Row(i)
-			for j := range g {
-				g[j] += src[j]
-			}
-		}
-	})
+	return t.Gather(e.rows, ids, e)
 }
 
 // LookupOne gathers a single row as a 1 x Dim node.
@@ -221,42 +211,76 @@ func (e *EmbeddingTable) LookupOne(t *ad.Tape, id int32) *ad.Node {
 	return e.Lookup(t, []int32{id})
 }
 
+// AccumulateRows implements ad.GradSink: row i of grad is added to the
+// pending gradient of row ids[i].
+func (e *EmbeddingTable) AccumulateRows(ids []int32, grad *tensor.Matrix) {
+	if e.gradSlot == nil {
+		e.gradSlot = make([]int32, e.rows.Rows)
+	}
+	for i, id := range ids {
+		s := e.gradSlot[id]
+		if s == 0 {
+			e.gradIDs = append(e.gradIDs, id)
+			e.gradBuf = append(e.gradBuf, make([]float32, e.Dim)...)
+			s = int32(len(e.gradIDs))
+			e.gradSlot[id] = s
+		}
+		g := e.pendingGrad(int(s - 1))
+		src := grad.Row(i)
+		for j := range g {
+			g[j] += src[j]
+		}
+	}
+}
+
 // TouchedRows reports how many rows carry pending gradients.
-func (e *EmbeddingTable) TouchedRows() int { return len(e.grads) }
+func (e *EmbeddingTable) TouchedRows() int { return len(e.gradIDs) }
 
 // ZeroGrad discards pending sparse gradients.
-func (e *EmbeddingTable) ZeroGrad() { clear(e.grads) }
+func (e *EmbeddingTable) ZeroGrad() {
+	for _, id := range e.gradIDs {
+		e.gradSlot[id] = 0
+	}
+	e.gradIDs = e.gradIDs[:0]
+	e.gradBuf = e.gradBuf[:0]
+}
+
+// pendingGrad returns the gradient of slot s, which holds row e.gradIDs[s].
+func (e *EmbeddingTable) pendingGrad(s int) []float32 {
+	return e.gradBuf[s*e.Dim : (s+1)*e.Dim]
+}
 
 // StepSGD applies pending sparse gradients with plain SGD and clears them.
 func (e *EmbeddingTable) StepSGD(lr float32) {
-	for id, g := range e.grads {
+	for s, id := range e.gradIDs {
+		g := e.pendingGrad(s)
 		row := e.rows.Row(int(id))
 		for j := range row {
 			row[j] -= lr * g[j]
 		}
 	}
-	clear(e.grads)
+	e.ZeroGrad()
 }
 
 // StepAdam applies pending sparse gradients with Adam (lazy per-row
 // moments, table-global bias correction) and clears them.
 func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
-	if e.adamM == nil {
-		e.adamM = make(map[int32][]float32)
-		e.adamV = make(map[int32][]float32)
+	if e.adamSlot == nil {
+		e.adamSlot = make([]int32, e.rows.Rows)
 	}
 	e.adamT++
 	bc1 := 1 - math.Pow(beta1, float64(e.adamT))
 	bc2 := 1 - math.Pow(beta2, float64(e.adamT))
-	for id, g := range e.grads {
-		m, ok := e.adamM[id]
-		if !ok {
-			m = make([]float32, e.Dim)
-			e.adamM[id] = m
-			v := make([]float32, e.Dim)
-			e.adamV[id] = v
+	for s, id := range e.gradIDs {
+		g := e.pendingGrad(s)
+		a := e.adamSlot[id]
+		if a == 0 {
+			e.adamBuf = append(e.adamBuf, make([]float32, 2*e.Dim)...)
+			a = int32(len(e.adamBuf) / (2 * e.Dim))
+			e.adamSlot[id] = a
 		}
-		v := e.adamV[id]
+		off := 2 * int(a-1) * e.Dim
+		m, v := e.adamBuf[off:off+e.Dim], e.adamBuf[off+e.Dim:off+2*e.Dim]
 		row := e.rows.Row(int(id))
 		for j := range row {
 			gj := float64(g[j])
@@ -267,7 +291,7 @@ func (e *EmbeddingTable) StepAdam(lr float32, beta1, beta2, eps float64) {
 			row[j] -= float32(float64(lr) * (mj / bc1) / (math.Sqrt(vj/bc2) + eps))
 		}
 	}
-	clear(e.grads)
+	e.ZeroGrad()
 }
 
 // ApplyDelta adds delta to row id directly; the parameter-server path uses

@@ -159,14 +159,14 @@ func TestEmbeddingSparseGradAccumulation(t *testing.T) {
 	if e.TouchedRows() != 2 {
 		t.Fatalf("touched rows = %d, want 2", e.TouchedRows())
 	}
-	if g := e.grads[3]; g[0] != 2 || g[1] != 2 {
+	if g := pendingRow(e, 3); g[0] != 2 || g[1] != 2 {
 		t.Fatalf("grad for repeated id = %v, want [2 2]", g)
 	}
-	if g := e.grads[5]; g[0] != 1 || g[1] != 1 {
+	if g := pendingRow(e, 5); g[0] != 1 || g[1] != 1 {
 		t.Fatalf("grad for single id = %v, want [1 1]", g)
 	}
 	// Untouched rows must not appear.
-	if _, ok := e.grads[0]; ok {
+	if pendingRow(e, 0) != nil {
 		t.Fatal("untouched row has gradient")
 	}
 }
@@ -302,4 +302,13 @@ func BenchmarkEmbeddingLookupBatch(b *testing.B) {
 		tp.Backward(tp.SumAll(n))
 		e.ZeroGrad()
 	}
+}
+
+// pendingRow returns row id's pending sparse gradient, or nil if the row
+// carries none.
+func pendingRow(e *EmbeddingTable, id int32) []float32 {
+	if e.gradSlot == nil || e.gradSlot[id] == 0 {
+		return nil
+	}
+	return e.pendingGrad(int(e.gradSlot[id] - 1))
 }
