@@ -59,7 +59,8 @@ const (
 	opFocalBCE
 	opTranspose
 	opScaleBy
-	opGather
+	opEmbed
+	opConcatMatMul
 	opCustom
 )
 
@@ -80,9 +81,9 @@ type Node struct {
 	op        op
 	alpha     float32 // Scale/LeakyReLU factor, MeanRows' 1/rows, ScaleBy's scalar
 	// aux and naux locate the op's side data in the tape: SliceRows' first
-	// row (aux), Concat operands (refs), BCE targets and FocalBCE
-	// per-logit gradients (wide), a Gather record (gathers, with naux ids)
-	// or a Custom closure (customs).
+	// row (aux), Concat and ConcatMatMul operands (refs), BCE targets and
+	// FocalBCE per-logit gradients (wide), Embed parts (parts) or a
+	// Custom closure (customs).
 	aux, naux int32
 
 	// val and grad back Val and Grad when the arena owns them.
@@ -111,11 +112,23 @@ func (n *Node) ensureGrad() *tensor.Matrix {
 	return n.Grad
 }
 
-// GradSink receives the gradient of a Gather node during Backward: row i
-// of grad is dL/d(table row ids[i]). Sparse embedding tables implement it
-// to scatter gradients into their own storage.
+// GradSink receives the gradients of an Embed node's rows during
+// Backward: grad is dL/d(table row id), and is only valid during the
+// call. Sparse embedding tables implement it to scatter gradients into
+// their own storage.
 type GradSink interface {
-	AccumulateRows(ids []int32, grad *tensor.Matrix)
+	AccumulateRow(id int32, grad tensor.Vec)
+}
+
+// Rows selects rows of an embedding table for Tape.Embed: the rows IDs
+// of Table, one node row each, or with Mean set their mean as a single
+// node row. Backward hands each selected table row's gradient to Sink,
+// unless Sink is nil.
+type Rows struct {
+	Table *tensor.Matrix
+	IDs   []int32
+	Sink  GradSink
+	Mean  bool
 }
 
 // Tape records operations for reverse-mode differentiation, one
@@ -132,16 +145,17 @@ type Tape struct {
 	refs    []*Node
 	wide    []float64
 	ids     []int32
-	gathers []gather
+	parts   []embedPart
 	customs []func(out *Node)
 	n       int
 }
 
-// gather is a Gather node's side data: its sink and the offset of its ids
-// in Tape.ids.
-type gather struct {
-	sink GradSink
-	ids  int32
+// embedPart is one Rows part of an Embed node: its sink, the offset and
+// count of its ids in Tape.ids, and whether the part is a mean row.
+type embedPart struct {
+	sink   GradSink
+	ids, n int32
+	mean   bool
 }
 
 // NewTape returns an empty tape. It allocates no arena until the first
@@ -156,7 +170,7 @@ func (t *Tape) Reset() {
 	t.nodes.reset()
 	t.floats.reset()
 	clear(t.customs)
-	t.refs, t.wide, t.ids, t.gathers, t.customs = t.refs[:0], t.wide[:0], t.ids[:0], t.gathers[:0], t.customs[:0]
+	t.refs, t.wide, t.ids, t.parts, t.customs = t.refs[:0], t.wide[:0], t.ids[:0], t.parts[:0], t.customs[:0]
 	t.n = 0
 }
 
@@ -446,9 +460,65 @@ func (t *Tape) backward(out *Node) {
 			}
 			a.ensureGrad().Data[0] += float32(acc)
 		}
-	case opGather:
-		rec := t.gathers[out.aux]
-		rec.sink.AccumulateRows(t.ids[rec.ids:rec.ids+out.naux], out.Grad)
+	case opEmbed:
+		// Parts scatter last to first, each part's ids in order: the
+		// order in which per-part gather nodes, a mean over rows and a
+		// row concatenation would run backward. A mean row's gradient is
+		// scaled once into a zeroed row, as that mean's backward would.
+		row := out.Rows()
+		parts := t.parts[out.aux : out.aux+out.naux]
+		for i := len(parts) - 1; i >= 0; i-- {
+			p := parts[i]
+			ids := t.ids[p.ids : p.ids+p.n]
+			if !p.mean {
+				row -= len(ids)
+				if p.sink != nil {
+					for k, id := range ids {
+						p.sink.AccumulateRow(id, out.Grad.Row(row+k))
+					}
+				}
+				continue
+			}
+			row--
+			if p.sink == nil {
+				continue
+			}
+			alpha := 1 / float32(len(ids))
+			g := t.floats.alloc(out.Cols())
+			for j, v := range out.Grad.Row(row) {
+				g[j] += v * alpha
+			}
+			for _, id := range ids {
+				p.sink.AccumulateRow(id, g)
+			}
+		}
+	case opConcatMatMul:
+		// As MatMul(ConcatCols(parts...), w) runs backward: w's gradient
+		// from the concatenation's nonzero entries, then each part's
+		// share of the concatenation's gradient, rounded as a product
+		// before it is added.
+		w, g := out.b, out.Grad.Data[0]
+		off := 0
+		for _, n := range t.refs[out.aux : out.aux+out.naux] {
+			wv := w.Val.Data[off : off+n.Cols()]
+			if w.needsGrad {
+				wg := w.ensureGrad().Data[off : off+n.Cols()]
+				for k, v := range n.Val.Data {
+					if v != 0 {
+						wg[k] += float32(v * g)
+					}
+				}
+			}
+			if n.needsGrad {
+				ng := n.ensureGrad().Data
+				if g != 0 {
+					for k, v := range wv {
+						ng[k] += float32(g * v)
+					}
+				}
+			}
+			off += n.Cols()
+		}
 	case opCustom:
 		t.customs[out.aux](out)
 	default:
@@ -633,6 +703,40 @@ func (t *Tape) ConcatRows(nodes ...*Node) *Node {
 	return out
 }
 
+// ConcatMatMul returns the 1x1 node [parts[0] ‖ parts[1] ‖ …]·w for 1 x
+// n_i row parts and a (Σ n_i) x 1 column w, without materializing the
+// concatenation: the edge-attention score of a ROI child. Its value and
+// gradients are bit-identical to MatMul(ConcatCols(parts...), w): the sum
+// runs over the parts in order, skipping their zero entries, as GemmAcc
+// does.
+func (t *Tape) ConcatMatMul(w *Node, parts ...*Node) *Node {
+	total := 0
+	for _, n := range parts {
+		if n.Rows() != 1 {
+			panic(fmt.Sprintf("ad: ConcatMatMul part of %d rows", n.Rows()))
+		}
+		total += n.Cols()
+	}
+	if w.Rows() != total || w.Cols() != 1 {
+		panic(fmt.Sprintf("ad: ConcatMatMul (1x%d)·(%dx%d)", total, w.Rows(), w.Cols()))
+	}
+	out := t.concat(opConcatMatMul, parts)
+	out.b, out.needsGrad = w, out.needsGrad || w.needsGrad
+	var s float32
+	off := 0
+	for _, n := range parts {
+		wv := w.Val.Data[off : off+n.Cols()]
+		for k, v := range n.Val.Data {
+			if v != 0 {
+				s += float32(v * wv[k])
+			}
+		}
+		off += n.Cols()
+	}
+	t.value(out, 1, 1).Data[0] = s
+	return out
+}
+
 // SliceRows returns the view [lo, hi) of m's rows as a new node.
 func (t *Tape) SliceRows(m *Node, lo, hi int) *Node {
 	if lo < 0 || hi > m.Rows() || lo > hi {
@@ -800,18 +904,58 @@ func (t *Tape) CosineSim(a, b *Node) *Node {
 	return t.Div(t.Dot(a, b), t.Mul(t.Norm(a), t.Norm(b)))
 }
 
-// Gather returns the len(ids) x table.Cols node of table's rows ids, the
-// embedding lookup. The tape copies both the rows and the ids, so neither
-// argument is retained. With a non-nil sink the node needs gradients, and
-// Backward hands its gradient to sink.AccumulateRows.
-func (t *Tape) Gather(table *tensor.Matrix, ids []int32, sink GradSink) *Node {
-	out := t.record(opGather, sink != nil)
-	out.aux, out.naux = int32(len(t.gathers)), int32(len(ids))
-	t.gathers = append(t.gathers, gather{sink: sink, ids: int32(len(t.ids))})
-	t.ids = append(t.ids, ids...)
-	val := t.value(out, len(ids), table.Cols)
-	for i, id := range ids {
-		copy(val.Row(i), table.Row(int(id)))
+// Embed returns the embedding-lookup node that stacks its parts' rows
+// in order: each Rows part adds its table rows, or with Mean set their
+// mean as one row, so a node's whole feature matrix is built in place in
+// one value. All tables must share a column count. The tape copies the
+// rows and the ids, so no argument is retained beyond the sinks. The
+// node needs gradients when any part has a sink; Backward hands every
+// selected table row its gradient through that part's sink, a mean's
+// ids each the mean row's gradient over their count.
+func (t *Tape) Embed(parts ...Rows) *Node {
+	if len(parts) == 0 {
+		panic("ad: Embed of nothing")
+	}
+	cols, rows, needsGrad := parts[0].Table.Cols, 0, false
+	for _, p := range parts {
+		switch {
+		case p.Table.Cols != cols:
+			panic(fmt.Sprintf("ad: Embed tables of %d and %d columns", cols, p.Table.Cols))
+		case !p.Mean:
+			rows += len(p.IDs)
+		case len(p.IDs) == 0:
+			panic("ad: Embed mean of no rows")
+		default:
+			rows++
+		}
+		needsGrad = needsGrad || p.Sink != nil
+	}
+	out := t.record(opEmbed, needsGrad)
+	out.aux, out.naux = int32(len(t.parts)), int32(len(parts))
+	val := t.value(out, rows, cols)
+	row := 0
+	for _, p := range parts {
+		t.parts = append(t.parts, embedPart{sink: p.Sink, ids: int32(len(t.ids)), n: int32(len(p.IDs)), mean: p.Mean})
+		t.ids = append(t.ids, p.IDs...)
+		if !p.Mean {
+			for _, id := range p.IDs {
+				copy(val.Row(row), p.Table.Row(int(id)))
+				row++
+			}
+			continue
+		}
+		// Summed in order and then scaled, as a mean over rows is.
+		dst := val.Row(row)
+		for _, id := range p.IDs {
+			for j, v := range p.Table.Row(int(id)) {
+				dst[j] += v
+			}
+		}
+		alpha := 1 / float32(len(p.IDs))
+		for j := range dst {
+			dst[j] *= alpha
+		}
+		row++
 	}
 	return out
 }

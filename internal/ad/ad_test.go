@@ -396,3 +396,135 @@ func TestGradScaleBy(t *testing.T) {
 		return tp.SumAll(tp.ScaleBy(s, p))
 	})
 }
+
+// recordSink logs every AccumulateRow call, in order, with a copy of
+// the gradient row.
+type recordSink struct {
+	ids   []int32
+	grads []float32
+}
+
+func (s *recordSink) AccumulateRow(id int32, grad tensor.Vec) {
+	s.ids = append(s.ids, id)
+	s.grads = append(s.grads, grad...)
+}
+
+// oddMat returns a rows x cols constant whose entries include zeros of
+// both signs and denormals.
+func oddMat(r *rng.RNG, rows, cols int) *tensor.Matrix {
+	m := tensor.NewMatrix(rows, cols)
+	for i := range m.Data {
+		switch r.Intn(6) {
+		case 0:
+			m.Data[i] = 0
+		case 1:
+			m.Data[i] = float32(math.Copysign(0, -1))
+		case 2:
+			m.Data[i] = (r.Float32()*2 - 1) * 1e-40
+		default:
+			m.Data[i] = r.Float32()*2 - 1
+		}
+	}
+	return m
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestEmbedMatchesPartwiseChain pins Embed to the chain it replaces in
+// the feature matrix — one lookup node per part, a MeanRows over a mean
+// part's rows, and a ConcatRows of the parts — bit for bit: the value,
+// and every gradient row the sinks receive, in the same order.
+func TestEmbedMatchesPartwiseChain(t *testing.T) {
+	r := rng.New(31)
+	tabA, tabB := oddMat(r, 9, 5), oddMat(r, 7, 5)
+	var sinkA, sinkB recordSink
+	parts := []Rows{
+		{Table: tabA, IDs: []int32{4}, Sink: &sinkA},
+		{Table: tabB, IDs: []int32{2, 6}, Sink: &sinkB},
+		{Table: tabA, IDs: []int32{1}},
+		{Table: tabA, IDs: []int32{0, 8, 3}, Sink: &sinkA, Mean: true},
+		{Table: tabB, IDs: []int32{5}, Sink: &sinkB, Mean: true},
+	}
+	weights := oddMat(r, 6, 5)
+	run := func(build func(tp *Tape) *Node) (val, grads []float32, ids []int32) {
+		sinkA, sinkB = recordSink{}, recordSink{}
+		tp := NewTape()
+		h := build(tp)
+		val = append(val, h.Val.Data...)
+		tp.Backward(tp.SumAll(tp.Mul(h, tp.Const(weights))))
+		return val, append(sinkA.grads, sinkB.grads...), append(sinkA.ids, sinkB.ids...)
+	}
+	val, grads, ids := run(func(tp *Tape) *Node { return tp.Embed(parts...) })
+	wval, wgrads, wids := run(func(tp *Tape) *Node {
+		var rows []*Node
+		for _, p := range parts {
+			n := tp.Embed(Rows{Table: p.Table, IDs: p.IDs, Sink: p.Sink})
+			if p.Mean {
+				n = tp.MeanRows(n)
+			}
+			rows = append(rows, n)
+		}
+		return tp.ConcatRows(rows...)
+	})
+	requireSameBits(t, "value", val, wval)
+	requireSameBits(t, "sink gradients", grads, wgrads)
+	if len(ids) != len(wids) {
+		t.Fatalf("sinks got %d rows, want %d", len(ids), len(wids))
+	}
+	for i := range ids {
+		if ids[i] != wids[i] {
+			t.Fatalf("sink call %d for row %d, want row %d", i, ids[i], wids[i])
+		}
+	}
+}
+
+// TestConcatMatMulMatchesConcatChain pins ConcatMatMul to
+// MatMul(ConcatCols(parts...), w) bit for bit, value and every gradient,
+// on parts with zeros of both signs (which the sum skips) and with a part
+// repeated.
+func TestConcatMatMulMatchesConcatChain(t *testing.T) {
+	r := rng.New(32)
+	vals := []*tensor.Matrix{oddMat(r, 1, 4), oddMat(r, 1, 3), oddMat(r, 1, 5)}
+	w := oddMat(r, 16, 1)
+	run := func(score func(tp *Tape, w *Node, parts ...*Node) *Node) (val float32, grads [][]float32) {
+		tp := NewTape()
+		grads = make([][]float32, len(vals)+1)
+		nodes := make([]*Node, len(vals))
+		for i, v := range vals {
+			g := tensor.NewMatrix(v.Rows, v.Cols)
+			nodes[i], grads[i] = tp.Watch(v, g), g.Data
+		}
+		wg := tensor.NewMatrix(w.Rows, w.Cols)
+		grads[len(vals)] = wg.Data
+		s := score(tp, tp.Watch(w, wg), nodes[0], nodes[1], nodes[2], nodes[0])
+		tp.Backward(tp.Sigmoid(s))
+		return s.Scalar(), grads
+	}
+	val, grads := run(func(tp *Tape, w *Node, parts ...*Node) *Node { return tp.ConcatMatMul(w, parts...) })
+	wval, wgrads := run(func(tp *Tape, w *Node, parts ...*Node) *Node { return tp.MatMul(tp.ConcatCols(parts...), w) })
+	requireSameBits(t, "value", []float32{val}, []float32{wval})
+	for i := range grads {
+		requireSameBits(t, "gradient", grads[i], wgrads[i])
+	}
+}
+
+func TestGradConcatMatMul(t *testing.T) {
+	checkGrad(t, "concat-matmul-w", 7, 1, 33, func(tp *Tape, p *Node) *Node {
+		a, b := constMat(tp, rng.New(34), 1, 3), constMat(tp, rng.New(35), 1, 4)
+		return tp.Tanh(tp.ConcatMatMul(p, a, b))
+	})
+	checkGrad(t, "concat-matmul-part", 1, 4, 36, func(tp *Tape, p *Node) *Node {
+		a, w := constMat(tp, rng.New(37), 1, 3), constMat(tp, rng.New(38), 11, 1)
+		return tp.Tanh(tp.ConcatMatMul(w, a, p, p))
+	})
+}

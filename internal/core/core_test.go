@@ -297,11 +297,11 @@ func TestInstancesFromExamples(t *testing.T) {
 }
 
 // zoomerStep returns a training step of Zoomer on the tiny world, the
-// loop body of core.Train: it resets one tape, runs the forward pass and
-// the focal loss, backpropagates and applies the optimizer. The first
-// call sizes the tape's arena and the optimizer state; later calls are
-// the steady state.
-func zoomerStep(t testing.TB) func() {
+// loop body of core.Train, and the tape it records on: the step resets
+// the tape, runs the forward pass and the focal loss, backpropagates and
+// applies the optimizer. The first call sizes the tape's arena and the
+// optimizer state; later calls are the steady state.
+func zoomerStep(t testing.TB) (func(), *ad.Tape) {
 	w := buildTinyWorld(t, 12)
 	z := NewZoomer(w.res.Graph, w.logs.Vocab(), tinyModelConfig(), 15)
 	r := rng.New(1)
@@ -317,11 +317,11 @@ func zoomerStep(t testing.TB) func() {
 		logits := z.Logits(tp, batch, r)
 		tp.Backward(tp.FocalBCEWithLogits(logits, targets, 2))
 		opt.step()
-	}
+	}, tp
 }
 
 func BenchmarkZoomerStep(b *testing.B) {
-	step := zoomerStep(b)
+	step, _ := zoomerStep(b)
 	step() // size the tape's arena and the optimizer state
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -334,9 +334,27 @@ func BenchmarkZoomerStep(b *testing.B) {
 // fresh tape and every op allocated its node, matrices and closure.
 func TestZoomerStepAllocs(t *testing.T) {
 	const bound = 2289
-	step := zoomerStep(t)
+	step, _ := zoomerStep(t)
 	step()
 	if got := testing.AllocsPerRun(20, step); got > bound {
 		t.Fatalf("steady-state Zoomer step: %.0f allocs/op, want <= %d", got, bound)
+	}
+}
+
+// TestZoomerStepTapeSize bounds the nodes BenchmarkZoomerStep's
+// steady-state step records. Each feature matrix is one Embed node
+// (slot gathers, a term mean and a row concatenation took up to seven),
+// and each edge-attention score one ConcatMatMul node (a column
+// concatenation and a MatMul took two): 2,800 nodes a step, against
+// 3,631 with the copies. The bound leaves about 2% of headroom, less
+// than either copy would add back.
+func TestZoomerStepTapeSize(t *testing.T) {
+	const bound = 2850
+	step, tp := zoomerStep(t)
+	for i := 0; i < 5; i++ {
+		step()
+		if got := tp.Len(); got > bound {
+			t.Fatalf("step %d recorded %d tape nodes, want <= %d", i+1, got, bound)
+		}
 	}
 }

@@ -75,30 +75,32 @@ func SlotCount(t graph.NodeType) int {
 
 // FeatureMatrix gathers node id's feature latent vectors as a
 // SlotCount x Dim node H — the input of the feature-projection level
-// (eq. 6). Term slots average the node's title-term embeddings.
+// (eq. 6). Term slots average the node's title-term embeddings. H is one
+// tape node built in place: each slot's row, or the mean of its terms,
+// is written straight into H's value.
 func (fe *FeatureEmbedder) FeatureMatrix(t *ad.Tape, g GraphView, id graph.NodeID) *ad.Node {
 	feats := g.Features(id)
 	switch g.Type(id) {
 	case graph.User:
-		return t.ConcatRows(
-			fe.UserID.LookupOne(t, feats[0]),
-			fe.Gender.LookupOne(t, feats[1]),
-			fe.Member.LookupOne(t, feats[2]),
+		return t.Embed(
+			fe.UserID.Rows(feats[0:1]),
+			fe.Gender.Rows(feats[1:2]),
+			fe.Member.Rows(feats[2:3]),
 		)
 	case graph.Query:
 		// feats = [category, terms...]
-		return t.ConcatRows(
-			fe.Category.LookupOne(t, feats[0]),
-			t.MeanRows(fe.Term.Lookup(t, feats[1:])),
+		return t.Embed(
+			fe.Category.Rows(feats[0:1]),
+			fe.Term.MeanRow(feats[1:]),
 		)
 	case graph.Item:
 		// feats = [id, category, brand, shop, terms...]
-		return t.ConcatRows(
-			fe.ItemID.LookupOne(t, feats[0]),
-			fe.Category.LookupOne(t, feats[1]),
-			fe.Brand.LookupOne(t, feats[2]),
-			fe.Shop.LookupOne(t, feats[3]),
-			t.MeanRows(fe.Term.Lookup(t, feats[4:])),
+		return t.Embed(
+			fe.ItemID.Rows(feats[0:1]),
+			fe.Category.Rows(feats[1:2]),
+			fe.Brand.Rows(feats[2:3]),
+			fe.Shop.Rows(feats[3:4]),
+			fe.Term.MeanRow(feats[4:]),
 		)
 	default:
 		panic(fmt.Sprintf("core: unknown node type %v", g.Type(id)))

@@ -195,12 +195,18 @@ func (z *Zoomer) edgeLevel(t *ad.Tape, zf, C *ad.Node, nbrs []*ad.Node, a *ad.No
 	}
 	base := len(fs.nodes)
 	for _, zj := range nbrs {
-		cat := t.ConcatCols(zf, zj, C) // [(Z_i ‖ Z_j) ‖ Z_c]
-		fs.nodes = append(fs.nodes, t.LeakyReLU(0.2, t.MatMul(cat, a)))
+		fs.nodes = append(fs.nodes, edgeScore(t, zf, zj, C, a))
 	}
 	w := t.SoftmaxRows(t.ConcatCols(fs.nodes[base:]...)) // 1 x m
 	fs.nodes = fs.nodes[:base]
 	return t.MatMul(w, stack) // Σ e_ij · Z_j
+}
+
+// edgeScore is the unnormalized edge-attention coefficient of eq. (8),
+// LeakyReLU([(Z_i ‖ Z_j) ‖ Z_c]·a), scored without building the
+// concatenation.
+func edgeScore(t *ad.Tape, zf, zj, C, a *ad.Node) *ad.Node {
+	return t.LeakyReLU(0.2, t.ConcatMatMul(a, zf, zj, C))
 }
 
 // semanticLevel applies eq. (10)–(11): per-type aggregates are combined
@@ -330,7 +336,7 @@ func (z *Zoomer) EdgeAttentionWeights(ego graph.NodeID, focalU, focalQ graph.Nod
 	for i, nb := range neighbors {
 		Hn := z.fe.FeatureMatrix(t, z.g, nb)
 		zn := z.featureLevel(t, Hn, C)
-		scores[i] = t.LeakyReLU(0.2, t.MatMul(t.ConcatCols(zf, zn, C), a))
+		scores[i] = edgeScore(t, zf, zn, C, a)
 	}
 	w := t.SoftmaxRows(t.ConcatCols(scores...))
 	return tensor.Copy(w.Val.Row(0))

@@ -200,10 +200,22 @@ func (e *EmbeddingTable) Vocab() int { return e.rows.Rows }
 // inference-time embedding export.
 func (e *EmbeddingTable) Row(id int32) tensor.Vec { return e.rows.Row(int(id)) }
 
+// Rows selects the table rows ids for ad.Tape.Embed, one node row each;
+// their gradients scatter back into the table's sparse gradient slots.
+func (e *EmbeddingTable) Rows(ids []int32) ad.Rows {
+	return ad.Rows{Table: e.rows, IDs: ids, Sink: e}
+}
+
+// MeanRow selects the mean of the table rows ids as one node row for
+// ad.Tape.Embed, the pooling of a bag of ids such as a title's terms.
+func (e *EmbeddingTable) MeanRow(ids []int32) ad.Rows {
+	return ad.Rows{Table: e.rows, IDs: ids, Sink: e, Mean: true}
+}
+
 // Lookup gathers the rows for ids into a len(ids) x Dim node. Gradients
 // scatter back into the table's sparse gradient slots.
 func (e *EmbeddingTable) Lookup(t *ad.Tape, ids []int32) *ad.Node {
-	return t.Gather(e.rows, ids, e)
+	return t.Embed(e.Rows(ids))
 }
 
 // LookupOne gathers a single row as a 1 x Dim node.
@@ -211,25 +223,22 @@ func (e *EmbeddingTable) LookupOne(t *ad.Tape, id int32) *ad.Node {
 	return e.Lookup(t, []int32{id})
 }
 
-// AccumulateRows implements ad.GradSink: row i of grad is added to the
-// pending gradient of row ids[i].
-func (e *EmbeddingTable) AccumulateRows(ids []int32, grad *tensor.Matrix) {
+// AccumulateRow implements ad.GradSink: grad is added to the pending
+// gradient of row id.
+func (e *EmbeddingTable) AccumulateRow(id int32, grad tensor.Vec) {
 	if e.gradSlot == nil {
 		e.gradSlot = make([]int32, e.rows.Rows)
 	}
-	for i, id := range ids {
-		s := e.gradSlot[id]
-		if s == 0 {
-			e.gradIDs = append(e.gradIDs, id)
-			e.gradBuf = append(e.gradBuf, make([]float32, e.Dim)...)
-			s = int32(len(e.gradIDs))
-			e.gradSlot[id] = s
-		}
-		g := e.pendingGrad(int(s - 1))
-		src := grad.Row(i)
-		for j := range g {
-			g[j] += src[j]
-		}
+	s := e.gradSlot[id]
+	if s == 0 {
+		e.gradIDs = append(e.gradIDs, id)
+		e.gradBuf = append(e.gradBuf, make([]float32, e.Dim)...)
+		s = int32(len(e.gradIDs))
+		e.gradSlot[id] = s
+	}
+	g := e.pendingGrad(int(s - 1))
+	for j := range g {
+		g[j] += grad[j]
 	}
 }
 

@@ -145,3 +145,45 @@ func BenchmarkDotI8(b *testing.B) {
 		})
 	}
 }
+
+// gemmShapes are the products of the training step, as m x k x n for
+// (m x k)·(k x n): a feature matrix against the focal vector (5x32x1),
+// attention weights over stacked neighbor embeddings (1x10x32), the
+// edge-attention score over [zf ‖ zj ‖ C] (1x96x1) and a tower layer
+// (1x64x32).
+var gemmShapes = [][3]int{{5, 32, 1}, {1, 10, 32}, {1, 96, 1}, {1, 64, 32}}
+
+// BenchmarkGemmAcc runs each training-step product the three ways a tape
+// MatMul node calls GemmAcc: the forward product, and the backward
+// products into the gradients of its left (dA = G·Bᵀ) and right
+// (dB = Aᵀ·G) operands.
+func BenchmarkGemmAcc(b *testing.B) {
+	r := rng.New(11)
+	fill := func(rows, cols int) *Matrix {
+		m := NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = float32(r.NormFloat64())
+		}
+		return m
+	}
+	for _, s := range gemmShapes {
+		m, k, n := s[0], s[1], s[2]
+		A, B, G := fill(m, k), fill(k, n), fill(m, n)
+		for _, c := range []struct {
+			name           string
+			dst, a, b      *Matrix
+			transA, transB bool
+		}{
+			{"fwd", NewMatrix(m, n), A, B, false, false},
+			{"dA", NewMatrix(m, k), G, B, false, true},
+			{"dB", NewMatrix(k, n), A, G, true, false},
+		} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					GemmAcc(c.dst, c.a, c.b, c.transA, c.transB)
+				}
+			})
+		}
+	}
+}

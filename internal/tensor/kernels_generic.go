@@ -51,18 +51,20 @@ func dotSqGeneric(a, b Vec) (dot, bsq float32) {
 
 // axpyGeneric computes y += alpha*x elementwise in float32: a separately
 // rounded multiply then add per element, never fused, so the vector
-// kernel (VMULPS+VADDPS, not FMA) lands on identical bits. Also the
-// per-row kernel of MatVecT.
+// kernel (VMULPS+VADDPS, not FMA) lands on identical bits. The explicit
+// conversions keep that rounding where the compiler may fuse a multiply
+// and an add (the Go spec allows it), which GemmAcc's accumulation-order
+// contract relies on. Also the per-row kernel of MatVecT and GemmAcc.
 func axpyGeneric(alpha float32, x, y Vec) {
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float32(alpha * x[i])
+		y[i+1] += float32(alpha * x[i+1])
+		y[i+2] += float32(alpha * x[i+2])
+		y[i+3] += float32(alpha * x[i+3])
 	}
 	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
+		y[i] += float32(alpha * x[i])
 	}
 }
 

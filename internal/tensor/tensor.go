@@ -300,26 +300,11 @@ func MatVecT(m *Matrix, x, out Vec) {
 	}
 }
 
-// MatMul returns a·b. It panics on shape mismatch. The kernel is the
-// cache-friendly i-k-j ordering over row-major storage.
+// MatMul returns a·b as a new matrix, computed by GemmAcc. It panics on
+// shape mismatch.
 func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)·(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
+	GemmAcc(out, a, b, false, false)
 	return out
 }
 
@@ -360,7 +345,27 @@ func Sum(vs []Vec, dim int) Vec {
 // GemmAcc accumulates dst += op(a)·op(b), where op is the optional
 // transpose selected by transA/transB. It is the workhorse of autodiff
 // backward passes, which need transposed products accumulated into
-// existing gradient buffers. It panics on shape mismatch.
+// existing gradient buffers. It panics on shape mismatch; dst must not
+// alias a or b.
+//
+// Accumulation-order contract: every element of dst adds its k terms
+// op(a)[i,k]·op(b)[k,j] to its prior value one at a time, in increasing
+// k, each product rounded to float32 before its add, and skips the terms
+// whose op(a) entry is zero (±0). That is the order of the textbook
+// i-k-j loop, so the result is bit-identical to it for every shape, under
+// either kernel dispatch, and training traces stay pinned across changes
+// to the loop. Within the contract the loop is chosen by shape:
+//   - one output column: a scalar dot over k per output, with the
+//     column of op(b) read as the contiguous vector it is;
+//   - op(b) row-major: each row update dst[i,:] += op(a)[i,k]·op(b)[k,:]
+//     is the axpy kernel (split multiply and add, so it rounds as the
+//     scalar loop does);
+//   - op(b) transposed: a scalar dot over k between row i of op(a) and a
+//     stored row of b.
+//
+// A transposed op(a) is walked with k outermost, reading the stored rows
+// of a, and a transposed single row or column is read as the
+// untransposed vector it already is in memory.
 func GemmAcc(dst, a, b *Matrix, transA, transB bool) {
 	ar, ac := a.Rows, a.Cols
 	if transA {
@@ -373,29 +378,93 @@ func GemmAcc(dst, a, b *Matrix, transA, transB bool) {
 	if ac != br || dst.Rows != ar || dst.Cols != bc {
 		panic(fmt.Sprintf("tensor: GemmAcc shape mismatch (%dx%d)·(%dx%d) -> (%dx%d)", ar, ac, br, bc, dst.Rows, dst.Cols))
 	}
-	at := func(i, k int) float32 {
-		if transA {
-			return a.Data[k*a.Cols+i]
-		}
-		return a.Data[i*a.Cols+k]
-	}
-	for i := 0; i < ar; i++ {
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k := 0; k < ac; k++ {
-			av := at(i, k)
-			if av == 0 {
-				continue
-			}
-			if transB {
-				for j := 0; j < bc; j++ {
-					drow[j] += av * b.Data[j*b.Cols+k]
-				}
-			} else {
-				brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j, bv := range brow {
-					drow[j] += av * bv
+	transA = transA && a.Rows > 1 && a.Cols > 1
+	transB = transB && b.Rows > 1 && b.Cols > 1
+	m, k, n := ar, ac, bc
+	ad, bd, dd := a.Data[:m*k], b.Data[:k*n], dst.Data[:m*n]
+	switch {
+	case n == 1 && (transA || k == 1):
+		// op(b) is a k-vector and column p of op(a) is contiguous.
+		for p, bv := range bd {
+			acol := ad[p*m : (p+1)*m]
+			out := dd[:len(acol)]
+			for i, av := range acol {
+				if av != 0 {
+					out[i] += float32(av * bv)
 				}
 			}
 		}
+	case n == 1:
+		// op(b) is a k-vector: one dot per row of a.
+		for i := range dd {
+			dd[i] = dotSkip(dd[i], ad[i*k:(i+1)*k], bd)
+		}
+	case !transB && !transA:
+		for i := 0; i < m; i++ {
+			drow := dd[i*n : (i+1)*n]
+			for p, av := range ad[i*k : (i+1)*k] {
+				if av != 0 {
+					axpy(av, bd[p*n:(p+1)*n], drow)
+				}
+			}
+		}
+	case !transB:
+		for p := 0; p < k; p++ {
+			brow := bd[p*n : (p+1)*n]
+			for i, av := range ad[p*m : (p+1)*m] {
+				if av != 0 {
+					axpy(av, brow, dd[i*n:(i+1)*n])
+				}
+			}
+		}
+	case !transA:
+		// Column j of op(b) is stored row j of b: one dot per output,
+		// four outputs at a time so their add chains overlap.
+		for i := 0; i < m; i++ {
+			arow, drow := ad[i*k:(i+1)*k], dd[i*n:(i+1)*n]
+			j := 0
+			for ; j+4 <= n; j += 4 {
+				b0, b1, b2, b3 := bd[j*k:(j+1)*k], bd[(j+1)*k:(j+2)*k], bd[(j+2)*k:(j+3)*k], bd[(j+3)*k:(j+4)*k]
+				s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
+				for p, av := range arow {
+					if av != 0 {
+						s0 += float32(av * b0[p])
+						s1 += float32(av * b1[p])
+						s2 += float32(av * b2[p])
+						s3 += float32(av * b3[p])
+					}
+				}
+				drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+			}
+			for ; j < n; j++ {
+				drow[j] = dotSkip(drow[j], arow, bd[j*k:(j+1)*k])
+			}
+		}
+	default:
+		for i := 0; i < m; i++ {
+			drow := dd[i*n : (i+1)*n]
+			for j := range drow {
+				s := drow[j]
+				for p, bv := range bd[j*k : (j+1)*k] {
+					if av := ad[p*m+i]; av != 0 {
+						s += float32(av * bv)
+					}
+				}
+				drow[j] = s
+			}
+		}
 	}
+}
+
+// dotSkip returns s + Σ a[p]·b[p] summed in increasing p, each product
+// rounded before its add, with the terms of zero a[p] skipped: one
+// output element of GemmAcc.
+func dotSkip(s float32, a, b Vec) float32 {
+	b = b[:len(a)]
+	for p, av := range a {
+		if av != 0 {
+			s += float32(av * b[p])
+		}
+	}
+	return s
 }
